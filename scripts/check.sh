@@ -65,16 +65,30 @@ grep -q '"ev":"job_completed"' "$TRACE_DIR/shf_t1.jsonl"
 echo "sharded fleet OK: $(wc -l < "$TRACE_DIR/shf_t1.jsonl") events, byte-identical across 1/5 threads"
 
 echo
-echo "== sharded engine flag validation (bad combinations must exit 2) =="
+echo "== engine and mode flag validation (bad combinations must exit 2) =="
 for bad in "--engine bogus" "--engine sharded --tenants NW,BFS" \
-           "--engine sharded --gpus 2 --spill" "--engine-threads -1"; do
+           "--engine sharded --gpus 2 --spill" "--engine-threads -1" \
+           "--interval-metrics $TRACE_DIR/iv_fab.csv --gpus 2" \
+           "--interval-metrics $TRACE_DIR/iv_ten.csv --tenants NW,BFS" \
+           "--trace $TRACE_DIR/nw.trc --gpus 2" \
+           "--record-trace $TRACE_DIR/fleet.trc --fleet" \
+           "--fleet --tenants NW,BFS" "--gpus 2 --tenants NW,BFS" \
+           "--tenants NW"; do
+  rc=0
   # shellcheck disable=SC2086
-  if "$BUILD"/tools/uvmsim --workload NW $bad >/dev/null 2>&1; then
-    echo "FAIL: '$bad' was accepted"
+  "$BUILD"/tools/uvmsim --workload NW $bad >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: '$bad' exited $rc, expected 2"
     exit 1
   fi
 done
-echo "engine flag validation OK"
+for f in iv_fab.csv iv_ten.csv fleet.trc; do
+  if [ -e "$TRACE_DIR/$f" ]; then
+    echo "FAIL: rejected run wrote $f"
+    exit 1
+  fi
+done
+echo "engine and mode flag validation OK"
 
 echo
 echo "== fabric spill smoke (spill-to-peer must cut host write-back) =="

@@ -1,9 +1,5 @@
 #include "core/uvm_system.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/policy_factory.hpp"
 #include "policy/adaptive.hpp"
 #include "policy/mhpe.hpp"
 #include "prefetch/adaptive.hpp"
@@ -15,42 +11,31 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
                      const Workload& workload, double oversub)
     : sys_cfg_(sys), pol_cfg_(pol), workload_(workload), oversub_(oversub) {
   const u64 footprint = workload.footprint_pages();
-  // Capacity floor: enough chunks that admission-bounded pinning can never
-  // exhaust the chain (see UvmDriver's deadlock-freedom argument).
-  const u64 floor_pages = 16 * kChunkPages;
-  const u64 capacity = std::max<u64>(
-      floor_pages,
-      std::min<u64>(footprint,
-                    static_cast<u64>(std::ceil(oversub * static_cast<double>(footprint)))));
-
-  driver_ = std::make_unique<UvmDriver>(eq_, sys_cfg_, pol_cfg_, footprint, capacity);
-  driver_->set_recorder(&recorder_);
-  driver_->set_policy(make_eviction_policy(pol_cfg_, driver_->chain()));
-  driver_->set_prefetcher(make_prefetcher(pol_cfg_));
-  gpu_ = std::make_unique<Gpu>(eq_, sys_cfg_, *driver_, workload_, pol_cfg_.seed);
+  stack_ = make_device_stack(eq_, sys_cfg_, pol_cfg_, footprint,
+                             oversub_capacity(footprint, oversub, 16 * kChunkPages));
+  gpu_ = std::make_unique<Gpu>(eq_, sys_cfg_, driver(), workload_, pol_cfg_.seed);
 }
 
 RunResult UvmSystem::run(Cycle max_cycles) {
   gpu_->launch();
   eq_.run(max_cycles);
 
+  UvmDriver& drv = driver();
   RunResult r;
   r.workload = workload_.abbr();
-  r.eviction_name = driver_->policy().name();
-  r.prefetcher_name = driver_->prefetcher().name();
   r.oversub = oversub_;
-  r.footprint_pages = driver_->footprint_pages();
-  r.capacity_pages = driver_->capacity_pages();
+  r.footprint_pages = drv.footprint_pages();
+  r.capacity_pages = drv.capacity_pages();
   r.cycles = gpu_->finished() ? gpu_->finish_cycle() : eq_.now();
   r.completed = gpu_->finished();
-  r.driver = driver_->stats();
   r.gpu = gpu_->stats();
-  r.h2d_pages = driver_->h2d().units_moved();
-  r.d2h_pages = driver_->d2h().units_moved();
-  r.h2d_utilisation = driver_->h2d().utilisation(r.cycles);
-  r.final_chain_length = driver_->chain().size();
+  r.h2d_utilisation = drv.h2d().utilisation(r.cycles);
+  r.final_chain_length = drv.chain().size();
+  harvest_identity(r, drv);
+  harvest_driver(r, drv);
+  harvest_queue(r, eq_);
 
-  if (const auto* mhpe = dynamic_cast<const MhpePolicy*>(&driver_->policy())) {
+  if (const auto* mhpe = dynamic_cast<const MhpePolicy*>(&drv.policy())) {
     r.mhpe_used = true;
     r.mhpe_switched_to_lru = mhpe->switched_to_lru();
     r.mhpe_forward_distance = mhpe->forward_distance();
@@ -58,8 +43,8 @@ RunResult UvmSystem::run(Cycle max_cycles) {
     r.untouch_history = mhpe->interval_untouch_history();
     r.wrong_buffer_capacity = mhpe->wrong_buffer_capacity();
   }
-  const auto* pa = dynamic_cast<const PatternAwarePrefetcher*>(&driver_->prefetcher());
-  const auto* apf = dynamic_cast<const AdaptivePrefetcher*>(&driver_->prefetcher());
+  const auto* pa = dynamic_cast<const PatternAwarePrefetcher*>(&drv.prefetcher());
+  const auto* apf = dynamic_cast<const AdaptivePrefetcher*>(&drv.prefetcher());
   if (apf != nullptr) pa = &apf->inner_pattern();  // the always-learning inner buffer
   if (pa != nullptr) {
     r.pattern_buffer_peak = pa->peak_size();
@@ -68,7 +53,7 @@ RunResult UvmSystem::run(Cycle max_cycles) {
     r.pattern_mismatches = pa->mismatches();
     r.pattern_capacity_evictions = pa->capacity_evictions();
   }
-  if (const auto* ap = dynamic_cast<const AdaptiveEvictionPolicy*>(&driver_->policy())) {
+  if (const auto* ap = dynamic_cast<const AdaptiveEvictionPolicy*>(&drv.policy())) {
     r.adaptive_used = true;
     r.adaptive_eviction_switches = ap->strategy_switches();
     for (const auto& h : ap->classifier().history())
@@ -91,21 +76,8 @@ RunResult UvmSystem::run(Cycle max_cycles) {
       for (const auto& h : apf->classifier().history())
         r.adaptive_phase_history.emplace_back(h.at, h.phase);
   }
-  r.large_pages = driver_->large_pages_enabled();
-  r.fault_backend = driver_->fault_backend().name();
-  r.gpu_fault_backend =
-      driver_->fault_backend_kind() == FaultBackendKind::kGpuDriven;
-  r.faultsvc = driver_->backend_stats();
-  r.trace_events_recorded = recorder_.events_recorded();
-  r.clamped_past = eq_.clamped_past();
-  r.sim.events_executed = eq_.executed();
-  r.sim.event_heap_peak = eq_.peak_pending();
-  r.sim.event_heap_capacity = eq_.heap_capacity();
-  r.sim.oversize_events = eq_.oversize_events();
-  r.sim.chain_slab_capacity = driver_->chains().total_slab_capacity();
-  r.sim.page_table_capacity = driver_->page_table().table_capacity();
-  r.sim.page_table_load = driver_->page_table().load_factor();
-  recorder_.flush();
+  r.trace_events_recorded = recorder().events_recorded();
+  recorder().flush();
   return r;
 }
 

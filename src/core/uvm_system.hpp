@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/device_stack.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/event_queue.hpp"
@@ -227,12 +228,12 @@ class UvmSystem {
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  [[nodiscard]] UvmDriver& driver() noexcept { return *driver_; }
+  [[nodiscard]] UvmDriver& driver() noexcept { return *stack_.driver; }
   [[nodiscard]] Gpu& gpu() noexcept { return *gpu_; }
   [[nodiscard]] EventQueue& queue() noexcept { return eq_; }
   /// The run's flight recorder. Attach sinks (JsonlSink, RingSink,
   /// IntervalMetricsSink) before run(); sinks outlive the system.
-  [[nodiscard]] FlightRecorder& recorder() noexcept { return recorder_; }
+  [[nodiscard]] FlightRecorder& recorder() noexcept { return *stack_.recorder; }
 
  private:
   SystemConfig sys_cfg_;
@@ -240,8 +241,7 @@ class UvmSystem {
   const Workload& workload_;
   double oversub_;
   EventQueue eq_;
-  FlightRecorder recorder_{eq_};
-  std::unique_ptr<UvmDriver> driver_;
+  DeviceStack stack_;
   std::unique_ptr<Gpu> gpu_;
 };
 

@@ -2,39 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-
-#include "core/policy_factory.hpp"
 
 namespace uvmsim {
-
-namespace {
-
-void accumulate(DriverStats& into, const DriverStats& s) {
-  into.page_faults += s.page_faults;
-  into.faults_coalesced += s.faults_coalesced;
-  into.pages_migrated_in += s.pages_migrated_in;
-  into.pages_demanded += s.pages_demanded;
-  into.pages_prefetched += s.pages_prefetched;
-  into.pages_evicted += s.pages_evicted;
-  into.chunks_evicted += s.chunks_evicted;
-  into.migration_ops += s.migration_ops;
-  into.demand_evictions += s.demand_evictions;
-  into.pre_evictions += s.pre_evictions;
-  into.fault_wait_cycles += s.fault_wait_cycles;
-  into.remote_accesses += s.remote_accesses;
-  into.peer_fetches += s.peer_fetches;
-  into.spill_hopbacks += s.spill_hopbacks;
-  into.faults_forwarded += s.faults_forwarded;
-  into.chunks_spilled += s.chunks_spilled;
-  into.pages_spilled += s.pages_spilled;
-  into.pages_surrendered += s.pages_surrendered;
-  into.coalesces += s.coalesces;
-  into.splinters += s.splinters;
-  into.large_frames_evicted += s.large_frames_evicted;
-}
-
-}  // namespace
 
 FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
                            const Workload& workload, double oversub,
@@ -49,15 +18,8 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
   fab_cfg_.gpus = n;
   const u64 footprint = workload.footprint_pages();
   // Per-device share of the capacity the oversubscription rate grants, with
-  // UvmSystem's per-driver floor (admission-pinning deadlock freedom). At
-  // N = 1 this is exactly UvmSystem's capacity.
-  const u64 floor_pages = 16 * kChunkPages;
-  const u64 capacity = std::max<u64>(
-      floor_pages,
-      std::min<u64>(footprint,
-                    static_cast<u64>(std::ceil(
-                        oversub * static_cast<double>(footprint) /
-                        static_cast<double>(n)))));
+  // UvmSystem's per-driver floor. At N = 1 this is exactly UvmSystem's.
+  const u64 capacity = oversub_capacity(footprint, oversub, 16 * kChunkPages, n);
 
   // Sharded needs >= 2 devices (one shard per device); otherwise a single
   // shard makes the engine a verbatim sequential EventQueue.
@@ -80,14 +42,10 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
   const u32 warps_per_device = sys_cfg_.num_sms * sys_cfg_.warps_per_sm;
   for (u32 d = 0; d < n; ++d) {
     EventQueue& q = engine_->queue(shard ? d : 0);
-    auto rec = std::make_unique<FlightRecorder>(q);
-    if (n > 1) rec->set_device(d);
-
-    auto driver = std::make_unique<UvmDriver>(q, sys_cfg_, pol_cfg_,
-                                              footprint, capacity);
-    driver->set_recorder(rec.get());
-    driver->set_policy(make_eviction_policy(pol_cfg_, driver->chain()));
-    driver->set_prefetcher(make_prefetcher(pol_cfg_));
+    stacks_.push_back(make_device_stack(q, sys_cfg_, pol_cfg_, footprint,
+                                        capacity, {},
+                                        n > 1 ? d : kNoTraceDevice));
+    UvmDriver* driver = stacks_.back().driver.get();
     if (shard)
       driver->attach_fabric(sharded_->port(d), d, /*spill=*/false);
     else if (n > 1)
@@ -100,42 +58,26 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
     auto gpu = std::make_unique<Gpu>(q, sys_cfg_, *driver, *shards_.back(),
                                      pol_cfg_.seed + d);
     if (shard) {
-      sharded_->attach_device(d, driver.get());
+      sharded_->attach_device(d, driver);
       sharded_->set_invalidator(
           d, [g = gpu.get()](PageId p) { g->remote_shootdown(p); });
     } else if (n > 1) {
-      coord_->attach_device(d, driver.get());
+      coord_->attach_device(d, driver);
       coord_->set_invalidator(
           d, [g = gpu.get()](PageId p) { g->remote_shootdown(p); });
     }
-    recorders_.push_back(std::move(rec));
-    drivers_.push_back(std::move(driver));
     gpus_.push_back(std::move(gpu));
   }
+  std::vector<FlightRecorder*> recorders;
+  for (const DeviceStack& st : stacks_) recorders.push_back(st.recorder.get());
+  trace_.init(std::move(recorders), shard);
 }
 
 FabricSystem::~FabricSystem() = default;
 
-void FabricSystem::add_sink(TraceSink* sink) {
-  user_sinks_.push_back(sink);
-  if (sharded_ == nullptr) {
-    for (auto& rec : recorders_) rec->add_sink(sink);
-    return;
-  }
-  // Sharded: recorders stage into per-shard buffers (created on the first
-  // sink, so sink-less runs record nothing — same as sequential); run()
-  // merges the buffers into every user sink deterministically.
-  if (shard_buffers_.empty()) {
-    for (auto& rec : recorders_) {
-      shard_buffers_.push_back(std::make_unique<BufferSink>());
-      rec->add_sink(shard_buffers_.back().get());
-    }
-  }
-}
+void FabricSystem::add_sink(TraceSink* sink) { trace_.add_sink(sink); }
 
-void FabricSystem::set_event_mask(u32 mask) {
-  for (auto& rec : recorders_) rec->set_event_mask(mask);
-}
+void FabricSystem::set_event_mask(u32 mask) { trace_.set_event_mask(mask); }
 
 RunResult FabricSystem::run(Cycle max_cycles) {
   for (auto& g : gpus_) g->launch();
@@ -143,10 +85,9 @@ RunResult FabricSystem::run(Cycle max_cycles) {
 
   RunResult r;
   r.workload = workload_.abbr();
-  r.eviction_name = drivers_[0]->policy().name();
-  r.prefetcher_name = drivers_[0]->prefetcher().name();
   r.oversub = oversub_;
   r.footprint_pages = workload_.footprint_pages();
+  harvest_identity(r, driver(0));
   // Fabric-shaped result fields stay at their defaults for 1-GPU systems so
   // the result (and its JSON) is indistinguishable from a UvmSystem run.
   if (num_gpus() > 1) {
@@ -159,7 +100,7 @@ RunResult FabricSystem::run(Cycle max_cycles) {
   Cycle last_now = 0;
   for (u32 d = 0; d < num_gpus(); ++d) {
     const Gpu& g = *gpus_[d];
-    const UvmDriver& drv = *drivers_[d];
+    UvmDriver& drv = driver(d);
     const EventQueue& q = engine_->queue(sharded_ ? d : 0);
     last_now = std::max(last_now, q.now());
     r.capacity_pages += drv.capacity_pages();
@@ -177,30 +118,13 @@ RunResult FabricSystem::run(Cycle max_cycles) {
     dr.d2h_pages = drv.d2h().units_moved();
     if (num_gpus() > 1) r.devices.push_back(dr);
 
-    accumulate(r.driver, drv.stats());
-    r.h2d_pages += dr.h2d_pages;
-    r.d2h_pages += dr.d2h_pages;
-    const Gpu::Stats gs = g.stats();
-    r.gpu.accesses += gs.accesses;
-    r.gpu.l1_tlb_hits += gs.l1_tlb_hits;
-    r.gpu.l1_tlb_misses += gs.l1_tlb_misses;
-    r.gpu.l2_tlb_hits += gs.l2_tlb_hits;
-    r.gpu.l2_tlb_misses += gs.l2_tlb_misses;
-    r.gpu.far_faults += gs.far_faults;
-    r.gpu.l1d_hits += gs.l1d_hits;
-    r.gpu.l1d_misses += gs.l1d_misses;
-    r.gpu.l2c_hits += gs.l2c_hits;
-    r.gpu.l2c_misses += gs.l2c_misses;
-    r.gpu.l1_tlb_large_hits += gs.l1_tlb_large_hits;
-    r.gpu.l2_tlb_large_hits += gs.l2_tlb_large_hits;
-    r.gpu.walks_performed += gs.walks_performed;
-    r.gpu.walk_cycles += gs.walk_cycles;
-    r.gpu.large_walks += gs.large_walks;
+    harvest_driver(r, drv);
+    r.gpu += g.stats();
     r.final_chain_length += drv.chain().size();
-    r.trace_events_recorded += recorders_[d]->events_recorded();
+    r.trace_events_recorded += stacks_[d].recorder->events_recorded();
   }
   r.cycles = r.completed ? last_finish : last_now;
-  r.h2d_utilisation = drivers_[0]->h2d().utilisation(r.cycles);
+  r.h2d_utilisation = driver(0).h2d().utilisation(r.cycles);
 
   if (coord_ != nullptr) {
     for (const FabricTopology::Link& l : coord_->topology().links())
@@ -221,52 +145,8 @@ RunResult FabricSystem::run(Cycle max_cycles) {
       r.links.push_back(lr);
     }
   }
-  r.large_pages = drivers_[0]->large_pages_enabled();
-  r.fault_backend = drivers_[0]->fault_backend().name();
-  r.gpu_fault_backend =
-      drivers_[0]->fault_backend_kind() == FaultBackendKind::kGpuDriven;
-  for (const auto& drv : drivers_) {
-    const FaultBackendStats& bs = drv->backend_stats();
-    r.faultsvc.faults_enqueued += bs.faults_enqueued;
-    r.faultsvc.queue_full_stalls += bs.queue_full_stalls;
-    r.faultsvc.handler_pickups += bs.handler_pickups;
-    r.faultsvc.handler_busy_cycles += bs.handler_busy_cycles;
-    r.faultsvc.max_queue_depth =
-        std::max(r.faultsvc.max_queue_depth, bs.max_queue_depth);
-  }
-  for (u32 s = 0; s < engine_->num_shards(); ++s) {
-    const EventQueue& q = engine_->queue(s);
-    r.clamped_past += q.clamped_past();
-    r.sim.events_executed += q.executed();
-    r.sim.event_heap_peak += q.peak_pending();
-    r.sim.event_heap_capacity += q.heap_capacity();
-    r.sim.oversize_events += q.oversize_events();
-  }
-  for (const auto& drv : drivers_) {
-    r.sim.chain_slab_capacity += drv->chains().total_slab_capacity();
-    r.sim.page_table_capacity += drv->page_table().table_capacity();
-    r.sim.page_table_load =
-        std::max(r.sim.page_table_load, drv->page_table().load_factor());
-  }
-  if (sharded_ != nullptr) {
-    r.engine_stats.sharded = true;
-    r.engine_stats.shards = engine_->num_shards();
-    r.engine_stats.threads = engine_->threads();
-    r.engine_stats.lookahead_cycles = engine_->lookahead();
-    const EngineStats& es = engine_->stats();
-    r.engine_stats.windows = es.windows;
-    r.engine_stats.messages = es.messages;
-    r.engine_stats.stall_windows = es.stall_windows;
-    r.engine_stats.barrier_waits = es.barrier_waits;
-    r.engine_stats.max_skew = es.max_skew;
-  }
-  for (auto& rec : recorders_) rec->flush();
-  if (sharded_ != nullptr && !shard_buffers_.empty()) {
-    std::vector<const BufferSink*> streams;
-    for (const auto& b : shard_buffers_) streams.push_back(b.get());
-    merge_shard_traces(streams, user_sinks_);
-    for (auto& b : shard_buffers_) b->clear();
-  }
+  harvest_engine(r, *engine_);
+  trace_.finish();
   return r;
 }
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/device_stack.hpp"
 #include "core/uvm_system.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/sharded_fabric.hpp"
@@ -66,7 +67,7 @@ class FabricSystem {
   [[nodiscard]] u32 num_gpus() const noexcept {
     return static_cast<u32>(gpus_.size());
   }
-  [[nodiscard]] UvmDriver& driver(u32 d) noexcept { return *drivers_[d]; }
+  [[nodiscard]] UvmDriver& driver(u32 d) noexcept { return *stacks_[d].driver; }
   [[nodiscard]] Gpu& gpu(u32 d) noexcept { return *gpus_[d]; }
   /// Shard 0's queue — THE queue under --engine seq.
   [[nodiscard]] EventQueue& queue() noexcept { return engine_->queue(0); }
@@ -89,13 +90,10 @@ class FabricSystem {
   std::unique_ptr<ShardedEngine> engine_;
   std::unique_ptr<FabricCoordinator> coord_;
   std::unique_ptr<ShardedFabric> sharded_;
-  std::vector<std::unique_ptr<FlightRecorder>> recorders_;
-  std::vector<std::unique_ptr<UvmDriver>> drivers_;
+  std::vector<DeviceStack> stacks_;  ///< one per device
   std::vector<std::unique_ptr<ShardedWorkload>> shards_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
-  /// Sharded tracing: per-device staging buffers + the caller's real sinks.
-  std::vector<std::unique_ptr<BufferSink>> shard_buffers_;
-  std::vector<TraceSink*> user_sinks_;
+  ShardTraceStage trace_;  ///< staged per device under --engine sharded
 };
 
 }  // namespace uvmsim

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/counters.hpp"
 #include "common/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "tenancy/tenant.hpp"
@@ -32,13 +33,22 @@ namespace uvmsim {
 
 /// Backend-side counters. All zero under the host backend, so surfacing
 /// them stays additive (JSON keys and report rows are gated on the
-/// GPU-driven backend; docs/faultsvc.md).
+/// GPU-driven backend; docs/faultsvc.md). SUM fields add across devices,
+/// MAX fields keep the largest.
+#define UVMSIM_FAULT_BACKEND_STATS(SUM, MAX)                                 \
+  SUM(faults_enqueued)     /* raises that entered a per-SM queue */        \
+  SUM(queue_full_stalls)   /* raises that found their SM queue full */     \
+  SUM(handler_pickups)     /* doorbell-coalesced handler wakeups */        \
+  SUM(handler_busy_cycles) /* total handler occupancy charged */           \
+  MAX(max_queue_depth)     /* high-water mark over all SM queues */
+
 struct FaultBackendStats {
-  u64 faults_enqueued = 0;     ///< raises that entered a per-SM queue
-  u64 queue_full_stalls = 0;   ///< raises that found their SM queue full
-  u64 handler_pickups = 0;     ///< doorbell-coalesced handler wakeups
-  u64 handler_busy_cycles = 0; ///< total handler occupancy charged
-  u64 max_queue_depth = 0;     ///< high-water mark over all SM queues
+  UVMSIM_FAULT_BACKEND_STATS(UVMSIM_COUNTER_FIELD, UVMSIM_COUNTER_FIELD)
+
+  FaultBackendStats& operator+=(const FaultBackendStats& o) noexcept {
+    UVMSIM_FAULT_BACKEND_STATS(UVMSIM_COUNTER_ADD, UVMSIM_COUNTER_MAX)
+    return *this;
+  }
 };
 
 class FaultServiceBackend {

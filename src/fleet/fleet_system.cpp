@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "core/policy_factory.hpp"
 #include "harness/percentile.hpp"
 #include "tenancy/fairness.hpp"
 
@@ -19,48 +18,6 @@ constexpr u64 kAlign = TenantTable::kNamespaceAlignPages;
 
 [[nodiscard]] constexpr u64 align_namespace(u64 pages) noexcept {
   return (pages + kAlign - 1) / kAlign * kAlign;
-}
-
-void accumulate(Gpu::Stats& into, const Gpu::Stats& s) {
-  into.accesses += s.accesses;
-  into.l1_tlb_hits += s.l1_tlb_hits;
-  into.l1_tlb_misses += s.l1_tlb_misses;
-  into.l2_tlb_hits += s.l2_tlb_hits;
-  into.l2_tlb_misses += s.l2_tlb_misses;
-  into.far_faults += s.far_faults;
-  into.l1d_hits += s.l1d_hits;
-  into.l1d_misses += s.l1d_misses;
-  into.l2c_hits += s.l2c_hits;
-  into.l2c_misses += s.l2c_misses;
-  into.l1_tlb_large_hits += s.l1_tlb_large_hits;
-  into.l2_tlb_large_hits += s.l2_tlb_large_hits;
-  into.walks_performed += s.walks_performed;
-  into.walk_cycles += s.walk_cycles;
-  into.large_walks += s.large_walks;
-}
-
-void accumulate(DriverStats& into, const DriverStats& s) {
-  into.page_faults += s.page_faults;
-  into.faults_coalesced += s.faults_coalesced;
-  into.pages_migrated_in += s.pages_migrated_in;
-  into.pages_demanded += s.pages_demanded;
-  into.pages_prefetched += s.pages_prefetched;
-  into.pages_evicted += s.pages_evicted;
-  into.chunks_evicted += s.chunks_evicted;
-  into.migration_ops += s.migration_ops;
-  into.demand_evictions += s.demand_evictions;
-  into.pre_evictions += s.pre_evictions;
-  into.fault_wait_cycles += s.fault_wait_cycles;
-  into.remote_accesses += s.remote_accesses;
-  into.peer_fetches += s.peer_fetches;
-  into.spill_hopbacks += s.spill_hopbacks;
-  into.faults_forwarded += s.faults_forwarded;
-  into.chunks_spilled += s.chunks_spilled;
-  into.pages_spilled += s.pages_spilled;
-  into.pages_surrendered += s.pages_surrendered;
-  into.coalesces += s.coalesces;
-  into.splinters += s.splinters;
-  into.large_frames_evicted += s.large_frames_evicted;
 }
 
 }  // namespace
@@ -116,20 +73,12 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
       fleet_, pol_cfg_.seed, static_cast<u32>(mix_.size()), std::move(trace));
 
   for (u32 d = 0; d < fleet_.devices; ++d) {
-    EventQueue& q = dev_queue(d);
-    auto dev = std::make_unique<Device>(q);
+    auto dev = std::make_unique<Device>();
     dev->table.enable_arena(fleet_.arena_pages);
-    dev->driver = std::make_unique<UvmDriver>(q, sys_cfg_, pol_cfg_,
-                                              fleet_.arena_pages,
-                                              capacity_frames_);
-    dev->recorder.set_tenant_table(&dev->table);
-    if (fleet_.devices > 1) dev->recorder.set_device(d);
-    dev->driver->set_recorder(&dev->recorder);
-    dev->driver->configure_tenancy(&dev->table, TenantMode::kShared,
-                                   EvictionScope::kGlobal);
-    dev->driver->set_policy(
-        make_eviction_policy(pol_cfg_, dev->driver->chain()));
-    dev->driver->set_prefetcher(make_prefetcher(pol_cfg_));
+    dev->stack = make_device_stack(
+        dev_queue(d), sys_cfg_, pol_cfg_, fleet_.arena_pages, capacity_frames_,
+        {&dev->table, TenantMode::kShared, EvictionScope::kGlobal},
+        fleet_.devices > 1 ? d : kNoTraceDevice);
     devices_.push_back(std::move(dev));
     if (sharded_) {
       shadow_tables_.push_back(std::make_unique<TenantTable>());
@@ -137,36 +86,19 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
     }
   }
 
+  std::vector<FlightRecorder*> recorders{job_recorder_.get()};
+  for (const auto& d : devices_) recorders.push_back(d->stack.recorder.get());
+  trace_.init(std::move(recorders), sharded_);
+
   jobs_.reserve(fleet_.jobs);
   running_.resize(fleet_.jobs);
 }
 
 FleetSystem::~FleetSystem() = default;
 
-void FleetSystem::add_sink(TraceSink* sink) {
-  user_sinks_.push_back(sink);
-  if (!sharded_) {
-    job_recorder_->add_sink(sink);
-    for (auto& d : devices_) d->recorder.add_sink(sink);
-    return;
-  }
-  // Sharded: recorders stage into per-shard buffers (created on the first
-  // sink, so sink-less runs record nothing — same as sequential); run()
-  // merges the buffers into every user sink deterministically.
-  if (shard_buffers_.empty()) {
-    shard_buffers_.push_back(std::make_unique<BufferSink>());
-    job_recorder_->add_sink(shard_buffers_.back().get());
-    for (auto& d : devices_) {
-      shard_buffers_.push_back(std::make_unique<BufferSink>());
-      d->recorder.add_sink(shard_buffers_.back().get());
-    }
-  }
-}
+void FleetSystem::add_sink(TraceSink* sink) { trace_.add_sink(sink); }
 
-void FleetSystem::set_event_mask(u32 mask) {
-  job_recorder_->set_event_mask(mask);
-  for (auto& d : devices_) d->recorder.set_event_mask(mask);
-}
+void FleetSystem::set_event_mask(u32 mask) { trace_.set_event_mask(mask); }
 
 u64 FleetSystem::job_seed(u64 id) const {
   // Independent per-job stream: jobs of the same template differ in their
@@ -275,7 +207,7 @@ void FleetSystem::admit(u64 id, u32 device) {
   r.device = device;
   r.workload =
       std::make_unique<OffsetWorkload>(*mix_[j.tpl], d.table.info(t).base);
-  r.gpu = std::make_unique<Gpu>(queue(), job_cfg_, *d.driver, *r.workload,
+  r.gpu = std::make_unique<Gpu>(queue(), job_cfg_, *d.stack.driver, *r.workload,
                                 job_seed(id));
   // The hook fires inside the last warp's event — defer teardown one event
   // so the Gpu never destroys itself re-entrantly.
@@ -300,7 +232,7 @@ void FleetSystem::launch_job(u64 id, u32 device, PageId base) {
   assert(r.tenant != kNoTenant && "subset invariant: prescribed region free");
   r.workload = std::make_unique<OffsetWorkload>(*mix_[j.tpl], base);
   EventQueue& q = dev_queue(device);
-  r.gpu = std::make_unique<Gpu>(q, job_cfg_, *d.driver, *r.workload,
+  r.gpu = std::make_unique<Gpu>(q, job_cfg_, *d.stack.driver, *r.workload,
                                 job_seed(id));
   r.gpu->set_on_finished([this, id, device] {
     EventQueue& dq = dev_queue(device);
@@ -323,12 +255,12 @@ void FleetSystem::complete(u64 id) {
   Device& d = *devices_[j.device];
   Running& r = running_[id];
   j.finish = r.gpu->finish_cycle();
-  accumulate(d.gpu_total, r.gpu->stats());
+  d.gpu_total += r.gpu->stats();
   // Teardown order matters: the Gpu unregisters its shootdown handlers
   // first, then the driver surrenders every resident page (used_frames
   // returns to zero), and only then can the arena slot detach.
   r.gpu.reset();
-  d.driver->detach_tenant(j.tenant);
+  d.stack.driver->detach_tenant(j.tenant);
   d.table.detach(j.tenant);
   r.workload.reset();
   d.promised_frames -= promise_of(j);
@@ -349,9 +281,9 @@ void FleetSystem::device_complete(u64 id) {
   const u32 device = r.device;
   Device& d = *devices_[device];
   const Cycle finish = r.gpu->finish_cycle();
-  accumulate(d.gpu_total, r.gpu->stats());
+  d.gpu_total += r.gpu->stats();
   r.gpu.reset();
-  d.driver->detach_tenant(r.tenant);
+  d.stack.driver->detach_tenant(r.tenant);
   d.table.detach(r.tenant);
   r.workload.reset();
   r.tenant = kNoTenant;
@@ -394,8 +326,6 @@ RunResult FleetSystem::run(Cycle max_cycles) {
 
   RunResult r;
   r.workload = "fleet";
-  r.eviction_name = devices_[0]->driver->policy().name();
-  r.prefetcher_name = devices_[0]->driver->prefetcher().name();
   r.oversub = fleet_.oversub;
   r.capacity_pages = capacity_frames_ * devices_.size();
   // The queue drains once the last job finishes, and a drained clock
@@ -410,6 +340,8 @@ RunResult FleetSystem::run(Cycle max_cycles) {
   r.cycles = std::min(now_max, std::max<Cycle>(makespan, 1));
   r.completed =
       submitted_ == fleet_.jobs && completed_ + rejected_ == submitted_;
+  harvest_identity(r, *devices_[0]->stack.driver);
+  // The fleet reports its configured large-pages flag and fault backend.
   r.large_pages = pol_cfg_.large_pages;
   r.fault_backend = to_string(sys_cfg_.fault_backend);
   r.gpu_fault_backend = sys_cfg_.fault_backend == FaultBackendKind::kGpuDriven;
@@ -418,63 +350,25 @@ RunResult FleetSystem::run(Cycle max_cycles) {
   r.trace_events_recorded = job_recorder_->events_recorded();
   for (u32 i = 0; i < devices_.size(); ++i) {
     Device& d = *devices_[i];
+    UvmDriver& drv = *d.stack.driver;
     DeviceRunResult dr;
     dr.id = i;
     dr.capacity_pages = capacity_frames_;
     dr.finish_cycle = r.cycles;
     dr.completed = r.completed;
-    dr.driver = d.driver->stats();
-    dr.h2d_pages = d.driver->h2d().units_moved();
-    dr.d2h_pages = d.driver->d2h().units_moved();
+    dr.driver = drv.stats();
+    dr.h2d_pages = drv.h2d().units_moved();
+    dr.d2h_pages = drv.d2h().units_moved();
     r.devices.push_back(dr);
-    accumulate(r.driver, dr.driver);
-    accumulate(r.gpu, d.gpu_total);
-    r.h2d_pages += dr.h2d_pages;
-    r.d2h_pages += dr.d2h_pages;
-    h2d_util += d.driver->h2d().utilisation(r.cycles);
-    r.final_chain_length += d.driver->chains().chain(0).size();
-    r.trace_events_recorded += d.recorder.events_recorded();
-    const FaultBackendStats& bs = d.driver->backend_stats();
-    r.faultsvc.faults_enqueued += bs.faults_enqueued;
-    r.faultsvc.queue_full_stalls += bs.queue_full_stalls;
-    r.faultsvc.handler_pickups += bs.handler_pickups;
-    r.faultsvc.handler_busy_cycles += bs.handler_busy_cycles;
-    r.faultsvc.max_queue_depth =
-        std::max(r.faultsvc.max_queue_depth, bs.max_queue_depth);
-    r.sim.chain_slab_capacity += d.driver->chains().total_slab_capacity();
-    r.sim.page_table_capacity += d.driver->page_table().table_capacity();
-    r.sim.page_table_load =
-        std::max(r.sim.page_table_load, d.driver->page_table().load_factor());
-    d.recorder.flush();
+    harvest_driver(r, drv);
+    r.gpu += d.gpu_total;
+    h2d_util += drv.h2d().utilisation(r.cycles);
+    r.final_chain_length += drv.chains().chain(0).size();
+    r.trace_events_recorded += d.stack.recorder->events_recorded();
   }
   r.h2d_utilisation = h2d_util / static_cast<double>(devices_.size());
-  for (u32 s = 0; s < engine_->num_shards(); ++s) {
-    const EventQueue& q = engine_->queue(s);
-    r.clamped_past += q.clamped_past();
-    r.sim.events_executed += q.executed();
-    r.sim.event_heap_peak += q.peak_pending();
-    r.sim.event_heap_capacity += q.heap_capacity();
-    r.sim.oversize_events += q.oversize_events();
-  }
-  if (sharded_) {
-    r.engine_stats.sharded = true;
-    r.engine_stats.shards = engine_->num_shards();
-    r.engine_stats.threads = engine_->threads();
-    r.engine_stats.lookahead_cycles = engine_->lookahead();
-    const EngineStats& es = engine_->stats();
-    r.engine_stats.windows = es.windows;
-    r.engine_stats.messages = es.messages;
-    r.engine_stats.stall_windows = es.stall_windows;
-    r.engine_stats.barrier_waits = es.barrier_waits;
-    r.engine_stats.max_skew = es.max_skew;
-  }
-  job_recorder_->flush();
-  if (sharded_ && !shard_buffers_.empty()) {
-    std::vector<const BufferSink*> streams;
-    for (const auto& b : shard_buffers_) streams.push_back(b.get());
-    merge_shard_traces(streams, user_sinks_);
-    for (auto& b : shard_buffers_) b->clear();
-  }
+  harvest_engine(r, *engine_);
+  trace_.finish();
 
   FleetRunResult& f = r.fleet;
   f.enabled = true;

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/device_stack.hpp"
 #include "core/uvm_system.hpp"
 #include "fleet/admission.hpp"
 #include "fleet/arrival.hpp"
@@ -94,15 +95,13 @@ class FleetSystem {
   [[nodiscard]] Cycle solo_cycles(u32 tpl) const { return solo_cycles_[tpl]; }
 
  private:
-  /// One device's memory system: arena table, driver, recorder, and the
-  /// load counters admission and placement consult. Under --engine sharded,
-  /// `table`/`driver`/`recorder`/`gpu_total` belong to the device shard;
+  /// One device's memory system: arena table, device stack, and the load
+  /// counters admission and placement consult. Under --engine sharded,
+  /// `table`/`stack`/`gpu_total` belong to the device shard;
   /// the accounting counters are written only by the control shard.
   struct Device {
-    explicit Device(const EventQueue& eq) : recorder(eq) {}
     TenantTable table;
-    FlightRecorder recorder;
-    std::unique_ptr<UvmDriver> driver;
+    DeviceStack stack;
     u64 promised_frames = 0;  ///< Σ min(footprint, capacity) of resident jobs
     u64 active_jobs = 0;
     /// Resident jobs per PatternType (indexed by enum value, 1..6).
@@ -170,10 +169,9 @@ class FleetSystem {
   std::vector<std::unique_ptr<Device>> devices_;
   /// Sharded only: the control shard's per-device shadow arena tables.
   std::vector<std::unique_ptr<TenantTable>> shadow_tables_;
-  /// Sharded tracing: per-shard staging buffers (0 = job recorder, 1+d =
-  /// device d) + the caller's real sinks.
-  std::vector<std::unique_ptr<BufferSink>> shard_buffers_;
-  std::vector<TraceSink*> user_sinks_;
+  /// Job recorder and every device recorder; staged per shard (0 = job
+  /// recorder, 1+d = device d) under --engine sharded.
+  ShardTraceStage trace_;
 
   std::vector<Job> jobs_;
   std::vector<Running> running_;  ///< indexed by job id

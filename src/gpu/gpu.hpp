@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/counters.hpp"
 #include "mem/dram.hpp"
 #include "mem/set_assoc_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -54,27 +55,34 @@ class Gpu {
   /// onto the event queue instead (fleet_system.cpp does).
   void set_on_finished(std::function<void()> cb) { on_finished_ = std::move(cb); }
 
+  /// Hits served by a 2 MB TLB entry are a subset of the hit counters and
+  /// always zero when --large-pages is off. Page-table-walker totals
+  /// (tlb/walker.hpp): walks that ended on a level-1 large leaf stop one
+  /// radix level early, so walk_cycles is the metric 2 MB frames shrink.
+#define UVMSIM_GPU_STATS(X)                                                  \
+  X(accesses)                                                              \
+  X(l1_tlb_hits)                                                           \
+  X(l1_tlb_misses)                                                         \
+  X(l2_tlb_hits)                                                           \
+  X(l2_tlb_misses)                                                         \
+  X(far_faults) /* warp-level fault events raised to the driver */         \
+  X(l1d_hits)                                                              \
+  X(l1d_misses)                                                            \
+  X(l2c_hits)                                                              \
+  X(l2c_misses)                                                            \
+  X(l1_tlb_large_hits)                                                     \
+  X(l2_tlb_large_hits)                                                     \
+  X(walks_performed)                                                       \
+  X(walk_cycles)                                                           \
+  X(large_walks)
+
   struct Stats {
-    u64 accesses = 0;
-    u64 l1_tlb_hits = 0;
-    u64 l1_tlb_misses = 0;
-    u64 l2_tlb_hits = 0;
-    u64 l2_tlb_misses = 0;
-    u64 far_faults = 0;  ///< warp-level fault events raised to the driver
-    u64 l1d_hits = 0;
-    u64 l1d_misses = 0;
-    u64 l2c_hits = 0;
-    u64 l2c_misses = 0;
-    /// Hits served by a 2 MB TLB entry (subset of the hit counters above;
-    /// always zero when --large-pages is off).
-    u64 l1_tlb_large_hits = 0;
-    u64 l2_tlb_large_hits = 0;
-    // Page-table-walker totals (tlb/walker.hpp): walks that ended on a
-    // level-1 large leaf stop one radix level early, so walk_cycles is the
-    // metric 2 MB frames are meant to shrink.
-    u64 walks_performed = 0;
-    u64 walk_cycles = 0;
-    u64 large_walks = 0;
+    UVMSIM_GPU_STATS(UVMSIM_COUNTER_FIELD)
+
+    Stats& operator+=(const Stats& o) noexcept {
+      UVMSIM_GPU_STATS(UVMSIM_COUNTER_ADD)
+      return *this;
+    }
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const PageWalker& walker() const noexcept { return walker_; }

@@ -1,9 +1,13 @@
 // Experiment descriptor + single-run entry point. One experiment =
 // (workload, policy configuration, oversubscription rate); runs are
 // deterministic, so any sweep can be distributed over threads freely.
+//
+// run_experiment is the one path from a configuration to a run: the
+// `uvmsim` CLI parses its flags into an ExperimentSpec, the sweep, report
+// and bench drivers build specs directly, and all of them call it.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,9 @@ namespace uvmsim {
 
 struct ExperimentSpec {
   std::string workload;       ///< Table II abbreviation
+  /// Single-GPU runs only: replay this recorded trace file (trace/trace_io)
+  /// in place of the `workload` benchmark.
+  std::string replay_trace;
   std::string label;          ///< display label, e.g. "CPPE", "LRU-20%"
   PolicyConfig policy;
   double oversub = 0.5;       ///< fraction of footprint that fits (0.75 / 0.5)
@@ -40,8 +47,8 @@ struct ExperimentSpec {
 
   // --- Simulation engine (src/sim/sharded_engine.hpp) ----------------------
   /// --engine sharded parallelises multi-GPU fabric and fleet runs (one
-  /// shard per device, conservative barrier windows); ignored — with the
-  /// sequential single shard — for single-GPU and multi-tenant runs.
+  /// shard per device, conservative barrier windows); single-GPU runs fall
+  /// back to the sequential single shard, multi-tenant runs reject it.
   EngineConfig engine;
 
   // --- Fleet serving (src/fleet) -------------------------------------------
@@ -57,11 +64,28 @@ struct ExperimentSpec {
   /// setting a path.
   std::string trace_out;
   u32 trace_event_mask = kAllEventsMask;
-  /// Invoked after run() with the still-live system (recorder, driver and
-  /// policy introspection available) and the result — the harness's generic
-  /// post-run dump point for custom timelines.
-  std::function<void(UvmSystem&, const RunResult&)> post_run;
+  /// Single-GPU runs only: write per-interval metrics here (a `.jsonl`
+  /// extension selects JSONL, anything else CSV; obs/interval_metrics).
+  std::string interval_metrics;
 };
+
+/// Which system an experiment runs. One spec selects at most one of fleet,
+/// tenants and fabric; none selects the single-GPU UvmSystem.
+enum class ExperimentMode { kSingle, kTenants, kFabric, kFleet };
+
+/// The mode `spec` selects, by precedence fleet > tenants > fabric (a spec
+/// validate() accepts selects only one).
+[[nodiscard]] ExperimentMode mode_of(const ExperimentSpec& spec) noexcept;
+
+/// Reject a spec whose settings the selected system would silently ignore
+/// or cannot honour: more than one mode, a single tenant, a replayed trace
+/// or interval metrics outside single-GPU mode, and the sharded engine with
+/// tenants or spill. Throws std::invalid_argument naming the conflict.
+void validate(const ExperimentSpec& spec);
+
+/// The workload a single-GPU spec runs: the replayed trace, else the
+/// `workload` benchmark.
+[[nodiscard]] std::unique_ptr<Workload> make_workload(const ExperimentSpec& spec);
 
 /// Result annotated with its spec label.
 struct LabelledResult {
@@ -69,7 +93,9 @@ struct LabelledResult {
   RunResult result;
 };
 
-/// Build and run one experiment to completion.
+/// Validate, build and run one experiment to completion, writing the
+/// requested trace and interval-metrics files. Throws std::invalid_argument
+/// for an invalid spec and std::runtime_error for an unopenable file.
 [[nodiscard]] LabelledResult run_experiment(const ExperimentSpec& spec);
 
 }  // namespace uvmsim

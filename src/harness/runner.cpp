@@ -9,10 +9,11 @@ namespace uvmsim {
 unsigned engine_threads_of(const ExperimentSpec& spec) noexcept {
   if (spec.engine.kind != EngineKind::kSharded) return 1;
   u32 shards = 1;
-  if (spec.fleet.enabled)
-    shards = spec.fleet.devices + 1;  // control shard + devices
-  else if (spec.tenants.size() < 2 && spec.fabric.gpus >= 2)
-    shards = spec.fabric.gpus;
+  switch (mode_of(spec)) {
+    case ExperimentMode::kFleet: shards = spec.fleet.devices + 1; break;  // + control
+    case ExperimentMode::kFabric: shards = spec.fabric.gpus; break;
+    default: break;
+  }
   if (shards <= 1) return 1;  // engine falls back to sequential
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned req = spec.engine.threads == 0 ? hw : spec.engine.threads;

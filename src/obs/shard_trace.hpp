@@ -7,11 +7,15 @@
 // every buffer into the real sinks in (cycle, shard, emission-index) order —
 // the same deterministic total order the engine uses for messages, so two
 // sharded runs produce byte-identical JSONL regardless of thread count.
+// ShardTraceStage is that plumbing for a whole multi-shard system.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -56,5 +60,54 @@ inline void merge_shard_traces(const std::vector<const BufferSink*>& streams,
   }
   for (TraceSink* sink : sinks) sink->flush();
 }
+
+/// The trace plumbing of a multi-shard system (FabricSystem, FleetSystem):
+/// hands the caller's sinks and event mask to every recorder. Unstaged (one
+/// shard) the recorders share the sinks directly; staged (shards run
+/// concurrently) each recorder writes its own BufferSink and finish()
+/// merges them into the sinks.
+class ShardTraceStage {
+ public:
+  /// `recorders[s]` records on shard s (every recorder when unstaged).
+  void init(std::vector<FlightRecorder*> recorders, bool staged) {
+    recorders_ = std::move(recorders);
+    staged_ = staged;
+  }
+
+  void add_sink(TraceSink* sink) {
+    if (!staged_) {
+      for (FlightRecorder* rec : recorders_) rec->add_sink(sink);
+      return;
+    }
+    sinks_.push_back(sink);
+    // Buffers are created on the first sink, so sink-less runs record
+    // nothing — the same as unstaged.
+    if (!buffers_.empty()) return;
+    for (FlightRecorder* rec : recorders_) {
+      buffers_.push_back(std::make_unique<BufferSink>());
+      rec->add_sink(buffers_.back().get());
+    }
+  }
+
+  void set_event_mask(u32 mask) {
+    for (FlightRecorder* rec : recorders_) rec->set_event_mask(mask);
+  }
+
+  /// After the run: flush every recorder, then deliver the staged events.
+  void finish() {
+    for (FlightRecorder* rec : recorders_) rec->flush();
+    if (buffers_.empty()) return;
+    std::vector<const BufferSink*> streams;
+    for (const auto& b : buffers_) streams.push_back(b.get());
+    merge_shard_traces(streams, sinks_);
+    for (auto& b : buffers_) b->clear();
+  }
+
+ private:
+  std::vector<FlightRecorder*> recorders_;
+  bool staged_ = false;
+  std::vector<std::unique_ptr<BufferSink>> buffers_;
+  std::vector<TraceSink*> sinks_;
+};
 
 }  // namespace uvmsim

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-
-#include "core/policy_factory.hpp"
 
 namespace uvmsim {
 
@@ -27,29 +24,10 @@ MultiTenantSystem::MultiTenantSystem(const SystemConfig& sys,
     table_.add(w->abbr(), w->footprint_pages());
     total_footprint += w->footprint_pages();
   }
-  const u64 floor_pages = n * 16 * kChunkPages;
-  const u64 capacity = std::max<u64>(
-      floor_pages,
-      std::min<u64>(total_footprint,
-                    static_cast<u64>(std::ceil(
-                        oversub * static_cast<double>(total_footprint)))));
-
-  driver_ = std::make_unique<UvmDriver>(eq_, sys_cfg_, pol_cfg_,
-                                        table_.span_pages(), capacity);
-  recorder_.set_tenant_table(&table_);
-  driver_->set_recorder(&recorder_);
-  driver_->configure_tenancy(&table_, mode, scope);
-
-  // Shared mode keeps the single domain-0 policy; partitioned/quota get one
-  // policy instance per tenant chain (stateful policies run per tenant).
-  if (mode == TenantMode::kShared) {
-    driver_->set_policy(make_eviction_policy(pol_cfg_, driver_->chain()));
-  } else {
-    for (u64 d = 0; d < n; ++d)
-      driver_->set_domain_policy(
-          d, make_eviction_policy(pol_cfg_, driver_->chains().chain(d)));
-  }
-  driver_->set_prefetcher(make_prefetcher(pol_cfg_));
+  stack_ = make_device_stack(
+      eq_, sys_cfg_, pol_cfg_, table_.span_pages(),
+      oversub_capacity(total_footprint, oversub, n * 16 * kChunkPages),
+      {&table_, mode, scope});
 
   // One Gpu per tenant on its SM slice. Warp seeds stay pol.seed-derived as
   // in the solo run, so a tenant's access streams match its solo behaviour.
@@ -58,7 +36,7 @@ MultiTenantSystem::MultiTenantSystem(const SystemConfig& sys,
   for (u64 t = 0; t < n; ++t) {
     offset_workloads_.push_back(std::make_unique<OffsetWorkload>(
         *workloads[t], table_.info(static_cast<TenantId>(t)).base));
-    gpus_.push_back(std::make_unique<Gpu>(eq_, tenant_cfg, *driver_,
+    gpus_.push_back(std::make_unique<Gpu>(eq_, tenant_cfg, driver(),
                                           *offset_workloads_.back(),
                                           pol_cfg_.seed));
   }
@@ -70,19 +48,18 @@ RunResult MultiTenantSystem::run(Cycle max_cycles) {
   for (auto& g : gpus_) g->launch();
   eq_.run(max_cycles);
 
+  UvmDriver& drv = driver();
   RunResult r;
   for (u64 t = 0; t < table_.size(); ++t) {
     if (!r.workload.empty()) r.workload += '+';
     r.workload += table_.info(static_cast<TenantId>(t)).name;
   }
-  r.eviction_name = driver_->policy().name();
-  r.prefetcher_name = driver_->prefetcher().name();
   r.oversub = oversub_;
-  r.capacity_pages = driver_->capacity_pages();
-  r.driver = driver_->stats();
-  r.h2d_pages = driver_->h2d().units_moved();
-  r.d2h_pages = driver_->d2h().units_moved();
+  r.capacity_pages = drv.capacity_pages();
   r.tenant_mode = std::string(to_string(mode_));
+  harvest_identity(r, drv);
+  harvest_driver(r, drv);
+  harvest_queue(r, eq_);
 
   r.completed = true;
   Cycle last_finish = 0;
@@ -105,43 +82,14 @@ RunResult MultiTenantSystem::run(Cycle max_cycles) {
     r.completed = r.completed && g.finished();
     last_finish = std::max(last_finish, r.tenants.back().finish_cycle);
 
-    const Gpu::Stats gs = g.stats();
-    r.gpu.accesses += gs.accesses;
-    r.gpu.l1_tlb_hits += gs.l1_tlb_hits;
-    r.gpu.l1_tlb_misses += gs.l1_tlb_misses;
-    r.gpu.l2_tlb_hits += gs.l2_tlb_hits;
-    r.gpu.l2_tlb_misses += gs.l2_tlb_misses;
-    r.gpu.far_faults += gs.far_faults;
-    r.gpu.l1d_hits += gs.l1d_hits;
-    r.gpu.l1d_misses += gs.l1d_misses;
-    r.gpu.l2c_hits += gs.l2c_hits;
-    r.gpu.l2c_misses += gs.l2c_misses;
-    r.gpu.l1_tlb_large_hits += gs.l1_tlb_large_hits;
-    r.gpu.l2_tlb_large_hits += gs.l2_tlb_large_hits;
-    r.gpu.walks_performed += gs.walks_performed;
-    r.gpu.walk_cycles += gs.walk_cycles;
-    r.gpu.large_walks += gs.large_walks;
+    r.gpu += g.stats();
   }
   r.cycles = r.completed ? last_finish : eq_.now();
-  r.h2d_utilisation = driver_->h2d().utilisation(r.cycles);
-  r.final_chain_length = 0;
-  for (u64 d = 0; d < driver_->chains().domains(); ++d)
-    r.final_chain_length += driver_->chains().chain(d).size();
-  r.large_pages = driver_->large_pages_enabled();
-  r.fault_backend = driver_->fault_backend().name();
-  r.gpu_fault_backend =
-      driver_->fault_backend_kind() == FaultBackendKind::kGpuDriven;
-  r.faultsvc = driver_->backend_stats();
-  r.trace_events_recorded = recorder_.events_recorded();
-  r.clamped_past = eq_.clamped_past();
-  r.sim.events_executed = eq_.executed();
-  r.sim.event_heap_peak = eq_.peak_pending();
-  r.sim.event_heap_capacity = eq_.heap_capacity();
-  r.sim.oversize_events = eq_.oversize_events();
-  r.sim.chain_slab_capacity = driver_->chains().total_slab_capacity();
-  r.sim.page_table_capacity = driver_->page_table().table_capacity();
-  r.sim.page_table_load = driver_->page_table().load_factor();
-  recorder_.flush();
+  r.h2d_utilisation = drv.h2d().utilisation(r.cycles);
+  for (u64 d = 0; d < drv.chains().domains(); ++d)
+    r.final_chain_length += drv.chains().chain(d).size();
+  r.trace_events_recorded = recorder().events_recorded();
+  recorder().flush();
   return r;
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/device_stack.hpp"
 #include "core/uvm_system.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
@@ -54,10 +55,10 @@ class MultiTenantSystem {
 
   [[nodiscard]] u64 num_tenants() const noexcept { return table_.size(); }
   [[nodiscard]] const TenantTable& tenants() const noexcept { return table_; }
-  [[nodiscard]] UvmDriver& driver() noexcept { return *driver_; }
+  [[nodiscard]] UvmDriver& driver() noexcept { return *stack_.driver; }
   [[nodiscard]] Gpu& gpu(TenantId t) noexcept { return *gpus_[t]; }
   [[nodiscard]] EventQueue& queue() noexcept { return eq_; }
-  [[nodiscard]] FlightRecorder& recorder() noexcept { return recorder_; }
+  [[nodiscard]] FlightRecorder& recorder() noexcept { return *stack_.recorder; }
   /// SMs each tenant's Gpu runs on — the solo-baseline run must use the
   /// same count for slowdown to isolate memory interference.
   [[nodiscard]] u32 sms_per_tenant() const noexcept { return sms_per_tenant_; }
@@ -70,10 +71,9 @@ class MultiTenantSystem {
   u32 sms_per_tenant_ = 1;
 
   EventQueue eq_;
-  FlightRecorder recorder_{eq_};
   TenantTable table_;
   std::vector<std::unique_ptr<OffsetWorkload>> offset_workloads_;
-  std::unique_ptr<UvmDriver> driver_;
+  DeviceStack stack_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
 };
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/set_assoc_cache.hpp"
 

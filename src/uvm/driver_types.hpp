@@ -7,6 +7,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/inline_function.hpp"
 #include "common/types.hpp"
 #include "tlb/page_table.hpp"  // FrameId
@@ -61,35 +62,41 @@ struct MigrationBatch {
   u32 src_device = kHostDevice;
 };
 
-/// Driver-wide counters, updated by all four layers.
+/// Driver-wide counters, updated by all four layers. Multi-GPU fabric
+/// counters stay zero when --gpus == 1; large-pages counters stay zero when
+/// --large-pages is off.
+#define UVMSIM_DRIVER_STATS(X)                                                \
+  X(page_faults)          /* distinct far-fault events (post-coalescing) */ \
+  X(faults_coalesced)     /* faults that joined an in-flight migration */   \
+  X(pages_migrated_in)    /* total pages moved host -> device */            \
+  X(pages_demanded)       /* migrated pages that had a waiting fault */     \
+  X(pages_prefetched)     /* migrated pages moved speculatively */          \
+  X(pages_evicted)        /* pages moved device -> host (Fig 4 metric) */   \
+  X(chunks_evicted)                                                         \
+  X(migration_ops)        /* driver service operations */                   \
+  X(demand_evictions)     /* chunk evictions on a fault's critical path */  \
+  X(pre_evictions)        /* chunk evictions performed ahead of need */     \
+  /* Sum over raised faults of raise -> wake delay; divided by page_faults \
+     this is the mean fault-service latency (bench/abl_fault_batch). */     \
+  X(fault_wait_cycles)                                                      \
+  X(remote_accesses)      /* faults satisfied by a remote NVLink access */  \
+  X(peer_fetches)         /* pages migrated in from a peer device */        \
+  X(spill_hopbacks)       /* peer fetches that were spill second chances */ \
+  X(faults_forwarded)     /* faults routed to the page's home device */     \
+  X(chunks_spilled)       /* evictions that spilled to a peer, not host */  \
+  X(pages_spilled)                                                          \
+  X(pages_surrendered)    /* resident pages handed to a fetching peer */    \
+  X(coalesces)            /* regions promoted to a 2 MB frame */            \
+  X(splinters)            /* 2 MB frames demoted back to chunks */          \
+  X(large_frames_evicted) /* whole-frame evictions (one DMA each) */
+
 struct DriverStats {
-  u64 page_faults = 0;        ///< distinct far-fault events (post-coalescing)
-  u64 faults_coalesced = 0;   ///< faults that joined an in-flight migration
-  u64 pages_migrated_in = 0;  ///< total pages moved host -> device
-  u64 pages_demanded = 0;     ///< migrated pages that had a waiting fault
-  u64 pages_prefetched = 0;   ///< migrated pages moved speculatively
-  u64 pages_evicted = 0;      ///< pages moved device -> host (Fig 4 metric)
-  u64 chunks_evicted = 0;
-  u64 migration_ops = 0;      ///< driver service operations
-  u64 demand_evictions = 0;   ///< chunk evictions on a fault's critical path
-  u64 pre_evictions = 0;      ///< chunk evictions performed ahead of need
-  /// Sum over raised faults of raise -> wake delay; divided by page_faults
-  /// this is the mean fault-service latency (bench/abl_fault_batch).
-  u64 fault_wait_cycles = 0;
+  UVMSIM_DRIVER_STATS(UVMSIM_COUNTER_FIELD)
 
-  // --- Multi-GPU fabric (all zero when --gpus == 1) -------------------------
-  u64 remote_accesses = 0;    ///< faults satisfied by a remote NVLink access
-  u64 peer_fetches = 0;       ///< pages migrated in from a peer device
-  u64 spill_hopbacks = 0;     ///< peer fetches that were spill second chances
-  u64 faults_forwarded = 0;   ///< faults routed to the page's home device
-  u64 chunks_spilled = 0;     ///< evictions that spilled to a peer, not host
-  u64 pages_spilled = 0;
-  u64 pages_surrendered = 0;  ///< resident pages handed to a fetching peer
-
-  // --- Large-pages mode (all zero when --large-pages is off) ----------------
-  u64 coalesces = 0;            ///< regions promoted to a 2 MB frame
-  u64 splinters = 0;            ///< 2 MB frames demoted back to chunks
-  u64 large_frames_evicted = 0; ///< whole-frame evictions (one DMA each)
+  DriverStats& operator+=(const DriverStats& o) noexcept {
+    UVMSIM_DRIVER_STATS(UVMSIM_COUNTER_ADD)
+    return *this;
+  }
 };
 
 }  // namespace uvmsim
