@@ -93,7 +93,10 @@ std::string phase_timeline(const RunResult& r) {
   std::string s;
   for (const auto& [cycle, phase] : r.adaptive_phase_history) {
     if (!s.empty()) s += " ";
-    s += "@" + std::to_string(cycle) + "->" + to_string(phase);
+    s += '@';
+    s += std::to_string(cycle);
+    s += "->";
+    s += to_string(phase);
   }
   return s.empty() ? "none" : s;
 }

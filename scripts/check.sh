@@ -91,6 +91,22 @@ done
 echo "engine and mode flag validation OK"
 
 echo
+echo "== hostile trace header (a count beyond the file size must exit 2) =="
+# 40 bytes: a valid header claiming 2^32 - 1 streams, then zeros. Unchecked,
+# it asks for ~128 GB, so the run is capped at 4 GB of address space; it
+# must fail on the count check, not on std::bad_alloc.
+{ printf 'UVMTRC01\001\000\000\000\377\377\377\377\100\000\000\000\000\000\000\000\001\000'
+  head -c 14 /dev/zero; } > "$TRACE_DIR/hostile.trc"
+rc=0
+(ulimit -v 4000000; "$BUILD"/tools/uvmsim --trace "$TRACE_DIR/hostile.trc") \
+  >/dev/null 2>"$TRACE_DIR/hostile.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "exceeds file size" "$TRACE_DIR/hostile.err"; then
+  echo "FAIL: hostile trace header exited $rc: $(cat "$TRACE_DIR/hostile.err")"
+  exit 1
+fi
+echo "hostile trace header OK"
+
+echo
 echo "== fabric spill smoke (spill-to-peer must cut host write-back) =="
 "$BUILD"/bench/fabric_scaling --smoke
 

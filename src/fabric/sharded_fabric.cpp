@@ -58,6 +58,7 @@ class ShardedFabric::Port final : public FabricPort {
 
   void note_page_unmapped(u32 dev, PageId p) override {
     assert(dev == dev_);
+    (void)dev;
     f_.page_unmapped(dev_, p);
   }
 

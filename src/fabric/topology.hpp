@@ -45,19 +45,18 @@ class FabricTopology {
 
     const auto add_peer = [&](u32 a, u32 b) {
       peer_index_[a][b] = static_cast<u32>(links_.size());
-      links_.push_back({a, b, "d" + std::to_string(a) + "->d" + std::to_string(b),
-                        BandwidthLink(peer_cy)});
+      links_.push_back({a, b, link_name(a, b), BandwidthLink(peer_cy)});
     };
     switch (kind_) {
       case FabricKind::kPcie:
         // Peer transfers bounce through the host at PCIe rate.
         for (u32 d = 0; d < gpus_; ++d) {
           up_index_.push_back(static_cast<u32>(links_.size()));
-          links_.push_back({d, kHostDevice, "d" + std::to_string(d) + "->host",
-                            BandwidthLink(host_cy)});
+          links_.push_back(
+              {d, kHostDevice, link_name(d, kHostDevice), BandwidthLink(host_cy)});
           down_index_.push_back(static_cast<u32>(links_.size()));
-          links_.push_back({kHostDevice, d, "host->d" + std::to_string(d),
-                            BandwidthLink(host_cy)});
+          links_.push_back(
+              {kHostDevice, d, link_name(kHostDevice, d), BandwidthLink(host_cy)});
         }
         break;
       case FabricKind::kRing:
@@ -124,6 +123,24 @@ class FabricTopology {
 
  private:
   static constexpr u32 kNoLink = ~u32{0};
+
+  /// "d0->d1", "d0->host", "host->d0". Appended piecewise: g++ 12 reports a
+  /// -Wrestrict false positive inside libstdc++ for `"d" + std::to_string(n)`.
+  static std::string link_name(u32 src, u32 dst) {
+    std::string name;
+    const auto endpoint = [&name](u32 dev) {
+      if (dev == kHostDevice) {
+        name += "host";
+      } else {
+        name += 'd';
+        name += std::to_string(dev);
+      }
+    };
+    endpoint(src);
+    name += "->";
+    endpoint(dst);
+    return name;
+  }
 
   FabricKind kind_;
   u32 gpus_;

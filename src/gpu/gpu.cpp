@@ -12,11 +12,14 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
       dram_(cfg),
       l2_tlb_("L2TLB", cfg.l2_tlb_entries, cfg.l2_tlb_ways, cfg.l2_tlb_latency,
               cfg.l2_tlb_ports),
-      l2_cache_(cfg.l2_cache_bytes / cfg.cache_line_bytes, cfg.l2_cache_ways),
+      l2_cache_(cfg.l2_cache_bytes / cfg.cache_line_bytes, cfg.l2_cache_ways,
+                static_cast<u32>(kPageBytes) / cfg.cache_line_bytes),
       // Bind the walker to the member copy, not the ctor argument: callers
       // may pass a temporary config (multi-tenant SM slices do).
       walker_(eq, driver.page_table(), cfg_),
-      lines_per_page_(static_cast<u32>(kPageBytes) / cfg.cache_line_bytes) {
+      lines_per_page_(static_cast<u32>(kPageBytes) / cfg.cache_line_bytes),
+      tlb_sharers_(cfg.num_sms),
+      l1d_sharers_(cfg.num_sms) {
   SplitMix64 seeder(seed);
   sms_.resize(cfg.num_sms);
   for (u32 s = 0; s < cfg.num_sms; ++s) {
@@ -25,7 +28,8 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
                                       cfg.l1_tlb_entries, cfg.l1_tlb_ways,
                                       cfg.l1_tlb_latency);
     sm.l1d = std::make_unique<SetAssocCache>(
-        cfg.l1_cache_bytes / cfg.cache_line_bytes, cfg.l1_cache_ways);
+        cfg.l1_cache_bytes / cfg.cache_line_bytes, cfg.l1_cache_ways,
+        lines_per_page_);
     sm.warps.resize(cfg.warps_per_sm);
     for (u32 w = 0; w < cfg.warps_per_sm; ++w) {
       const WarpContext ctx{
@@ -44,15 +48,8 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
   // frame number still uniquely identifies the departing lines. Registered
   // additively: multi-tenant runs share one driver across several Gpu
   // instances, and every one must observe every shootdown.
-  shootdown_handle_ = driver_.add_shootdown_handler([this](PageId p, FrameId f) {
-    l2_tlb_.invalidate(p);
-    for (auto& sm : sms_) sm.l1_tlb->invalidate(p);
-    for (u32 line = 0; line < lines_per_page_; ++line) {
-      const u64 tag = f * lines_per_page_ + line;
-      l2_cache_.invalidate(tag);
-      for (auto& sm : sms_) sm.l1d->invalidate(tag);
-    }
-  });
+  shootdown_handle_ = driver_.add_shootdown_handler(
+      [this](PageId p, FrameId f) { shootdown(p, f); });
   // Large-pages mode: gated 2 MB sub-arrays beside the small TLBs, plus the
   // large-entry shootdown (splinter / whole-frame eviction). Only the 2 MB
   // translation dies there — per-page entries and cache lines are handled
@@ -112,7 +109,7 @@ void Gpu::do_access(u32 sm, u32 warp, PageId page) {
     if (l2.large)
       sms_[sm].l1_tlb->fill_large(large_of_page(page));
     else
-      sms_[sm].l1_tlb->fill(page);
+      fill_l1_tlb(sm, page);
     driver_.note_touch(page);
     finish_access(sm, warp, page, l2.ready_at);
     return;
@@ -127,7 +124,7 @@ void Gpu::do_access(u32 sm, u32 warp, PageId page) {
         sms_[sm].l1_tlb->fill_large(large_of_page(p));
       } else {
         l2_tlb_.fill(p);
-        sms_[sm].l1_tlb->fill(p);
+        fill_l1_tlb(sm, p);
       }
       driver_.note_touch(p);
       finish_access(sm, warp, p, eq_.now());
@@ -138,7 +135,7 @@ void Gpu::do_access(u32 sm, u32 warp, PageId page) {
     ++far_faults_;
     auto wake = [this, sm, warp, p] {
       l2_tlb_.fill(p);
-      sms_[sm].l1_tlb->fill(p);
+      fill_l1_tlb(sm, p);
       finish_access(sm, warp, p, eq_.now());
     };
     static_assert(WakeCallback::fits_inline<decltype(wake)>);
@@ -160,18 +157,21 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
       f * lines_per_page_ + (wp.access_count++ / 2 * 7) % lines_per_page_;
 
   Cycle done;
-  if (sms_[sm].l1d->lookup(line)) {
+  const SetAssocCache::Access l1d = sms_[sm].l1d->access(line);
+  if (l1d.hit) {
     ++l1d_hits_;
     done = ready + cfg_.l1_cache_latency;
   } else {
     ++l1d_misses_;
-    sms_[sm].l1d->insert(line);
-    if (l2_cache_.lookup(line)) {
+    // Keep the L1D sharer mask exact: this SM joins the page's sharers with
+    // its first line here and leaves a page when its last line goes.
+    if (l1d.closed) l1d_sharers_.remove(l1d.evicted / lines_per_page_, sm);
+    if (l1d.opened) l1d_sharers_.add(f, sm);
+    if (l2_cache_.access(line).hit) {
       ++l2c_hits_;
       done = ready + cfg_.l2_cache_latency;
     } else {
       ++l2c_misses_;
-      l2_cache_.insert(line);
       done = dram_.access(ready + cfg_.l2_cache_latency, f);
     }
   }
@@ -180,14 +180,36 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
   eq_.schedule_at(done, std::move(ev));
 }
 
-void Gpu::remote_shootdown(PageId p) {
+void Gpu::fill_l1_tlb(u32 sm, PageId p) {
+  const PageId displaced = sms_[sm].l1_tlb->fill(p);
+  if (displaced != kInvalidPage) tlb_sharers_.remove(displaced, sm);
+  tlb_sharers_.add(p, sm);
+}
+
+void Gpu::shootdown(PageId p, u64 block) {
   l2_tlb_.invalidate(p);
-  for (auto& sm : sms_) sm.l1_tlb->invalidate(p);
-  for (u32 line = 0; line < lines_per_page_; ++line) {
-    const u64 tag = p * lines_per_page_ + line;  // page-as-frame fallback tag
-    l2_cache_.invalidate(tag);
-    for (auto& sm : sms_) sm.l1d->invalidate(tag);
+  tlb_sharers_.drain(p, [&](u32 s) { sms_[s].l1_tlb->invalidate(p); });
+  l2_cache_.invalidate_block(block);
+  l1d_sharers_.drain(block, [&](u32 s) { sms_[s].l1d->invalidate_block(block); });
+}
+
+// Remote lines are tagged with the page-as-frame fallback (finish_access).
+void Gpu::remote_shootdown(PageId p) { shootdown(p, p); }
+
+bool Gpu::caches_page(PageId p, u64 block) const {
+  if (l2_tlb_.contains(p) || l2_cache_.holds_block(block)) return true;
+  for (const auto& sm : sms_)
+    if (sm.l1_tlb->contains(p) || sm.l1d->holds_block(block)) return true;
+  return false;
+}
+
+bool Gpu::sharers_cover(PageId p, u64 block) const {
+  for (u32 s = 0; s < sms_.size(); ++s) {
+    if (sms_[s].l1_tlb->contains(p) && !tlb_sharers_.has(p, s)) return false;
+    if (sms_[s].l1d->holds_block(block) && !l1d_sharers_.has(block, s))
+      return false;
   }
+  return true;
 }
 
 void Gpu::warp_finished() {

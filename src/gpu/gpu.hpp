@@ -12,18 +12,23 @@
 // After translation the access goes through the data-cache hierarchy of
 // Table I: a per-SM 48 KB/6-way L1, the shared 3 MB/16-way L2, then DRAM.
 // Caches are physically indexed (by frame), so evictions invalidate the
-// lines of the departing page alongside the TLB shootdown.
+// lines of the departing page alongside the TLB shootdown. The data caches
+// are indexed by page block (mem/set_assoc_cache.hpp), and per-page sharer
+// masks record which SMs' L1 TLB and L1D hold anything of a page, so a
+// shootdown visits only the structures that actually cache it.
 //
 // Demand touches are reported to the driver on L1 TLB misses (see
 // UvmDriver::note_touch for the fidelity argument).
 #pragma once
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/counters.hpp"
+#include "common/flat_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/set_assoc_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -95,6 +100,14 @@ class Gpu {
   /// page's owner unmaps it (eviction, spill, or surrender to a peer).
   void remote_shootdown(PageId p);
 
+  /// Audit queries (tests). True when an L1/L2 TLB still translates `p` or
+  /// an L1D/L2 cache still holds a line of `block` (the frame, or the page
+  /// for remote lines).
+  [[nodiscard]] bool caches_page(PageId p, u64 block) const;
+  /// True when every SM whose L1 TLB translates `p`, or whose L1D holds a
+  /// line of `block`, is in the matching sharer mask.
+  [[nodiscard]] bool sharers_cover(PageId p, u64 block) const;
+
  private:
   struct Warp {
     std::unique_ptr<AccessStream> stream;
@@ -112,6 +125,48 @@ class Gpu {
   /// Translation resolved (page resident): charge DRAM and move on.
   void finish_access(u32 sm, u32 warp, PageId page, Cycle ready);
   void warp_finished();
+  void fill_l1_tlb(u32 sm, PageId p);
+  /// Invalidate `p`'s translations and the cached lines of `block`
+  /// everywhere on this GPU, visiting only the sharer SMs.
+  void shootdown(PageId p, u64 block);
+
+  /// key -> the SMs whose private structure (L1 TLB or L1D) holds it, one
+  /// u64 word per 64 SMs. Point operations only, like the FlatMap beneath.
+  class SmSharers {
+   public:
+    explicit SmSharers(u32 num_sms) : words_((num_sms + 63) / 64) {}
+    void add(u64 key, u32 sm) { map_[slot(key, sm)] |= bit(sm); }
+    void remove(u64 key, u32 sm) {
+      const u64 k = slot(key, sm);
+      u64* w = map_.find(k);
+      if (w == nullptr) return;
+      *w &= ~bit(sm);
+      if (*w == 0) map_.erase(k);
+    }
+    [[nodiscard]] bool has(u64 key, u32 sm) const {
+      const u64* w = map_.find(slot(key, sm));
+      return w != nullptr && (*w & bit(sm)) != 0;
+    }
+    /// Call `f(sm)` for every sharer of `key`, in SM order, and forget them.
+    template <class F>
+    void drain(u64 key, F&& f) {
+      for (u32 i = 0; i < words_; ++i) {
+        u64 w = 0;
+        if (!map_.take(key * words_ + i, w)) continue;
+        for (; w != 0; w &= w - 1)
+          f(i * 64 + static_cast<u32>(std::countr_zero(w)));
+      }
+    }
+
+   private:
+    [[nodiscard]] u64 slot(u64 key, u32 sm) const noexcept {
+      return key * words_ + sm / 64;
+    }
+    [[nodiscard]] static u64 bit(u32 sm) noexcept { return u64{1} << (sm % 64); }
+
+    u32 words_;
+    FlatMap<u64, u64> map_;
+  };
 
   EventQueue& eq_;
   SystemConfig cfg_;
@@ -122,6 +177,8 @@ class Gpu {
   PageWalker walker_;
   std::vector<Sm> sms_;
   u32 lines_per_page_;
+  SmSharers tlb_sharers_;  ///< page -> SMs whose L1 TLB translates it
+  SmSharers l1d_sharers_;  ///< block -> SMs whose L1D holds a line of it
   u32 live_warps_ = 0;
   Cycle finish_cycle_ = 0;
   u64 shootdown_handle_ = 0;

@@ -15,6 +15,7 @@ namespace uvmsim {
 
 class Tlb {
  public:
+  static_assert(SetAssocCache::kNoEviction == kInvalidPage);
   /// `ways == 0` means fully associative (used for the 128-entry L1 TLBs).
   Tlb(std::string name, u32 entries, u32 ways, Cycle latency, u32 ports = 1)
       : name_(std::move(name)),
@@ -53,10 +54,15 @@ class Tlb {
     return Result{hit, start + latency_};
   }
 
-  void fill(PageId page) { cache_.insert(page); }
+  /// Cache the translation of `page`. Returns the page whose entry it
+  /// displaced, or kInvalidPage when it displaced none.
+  PageId fill(PageId page) { return cache_.insert(page); }
   void fill_large(LargeId region) {
     if (large_ != nullptr) large_->insert(region);
   }
+
+  /// Probe without touching replacement state or the hit counters.
+  [[nodiscard]] bool contains(PageId page) const { return cache_.contains(page); }
 
   /// Shootdown on page eviction. Returns true if the entry existed.
   bool invalidate(PageId page) { return cache_.invalidate(page); }

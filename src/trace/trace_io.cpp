@@ -31,6 +31,21 @@ T get(std::istream& is) {
   return static_cast<T>(v);
 }
 
+/// Bytes from the read position to the end of a seekable stream.
+u64 bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff left = is.tellg() - here;
+  is.seekg(here);
+  return static_cast<u64>(left);
+}
+
+// The encoded sizes of a stream header (u32 warp, u64 count) and of an
+// access (u64 page, u32 think): the most a count can honestly claim is the
+// bytes left divided by these.
+constexpr u64 kStreamHeaderBytes = 12;
+constexpr u64 kAccessBytes = 12;
+
 }  // namespace
 
 void write_trace(std::ostream& os, const Trace& trace) {
@@ -55,6 +70,15 @@ void write_trace(std::ostream& os, const Trace& trace) {
 }
 
 Trace read_trace(std::istream& is) {
+  // Header counts are untrusted: each is bounded by the bytes the stream
+  // still holds before anything is sized from it. A pipe cannot say how
+  // many it holds, so it is buffered first.
+  if (is.tellg() == std::streampos(-1)) {
+    std::stringstream buf;
+    buf << is.rdbuf();
+    buf.clear();  // an empty pipe sets failbit; the magic check reports it
+    return read_trace(buf);
+  }
   if (get<u64>(is) != kTraceMagic) throw std::runtime_error("trace: bad magic");
   const u32 version = get<u32>(is);
   if (version != kTraceVersion)
@@ -69,10 +93,14 @@ Trace read_trace(std::istream& is) {
   is.read(t.name.data(), name_len);
   if (!is) throw std::runtime_error("trace: truncated name");
 
+  if (num_streams > bytes_left(is) / kStreamHeaderBytes)
+    throw std::runtime_error("trace: stream count exceeds file size");
   t.streams.resize(num_streams);
   for (auto& s : t.streams) {
     s.global_warp_index = get<u32>(is);
     const u64 n = get<u64>(is);
+    if (n > bytes_left(is) / kAccessBytes)
+      throw std::runtime_error("trace: access count exceeds file size");
     s.accesses.resize(n);
     for (auto& a : s.accesses) {
       a.page = get<u64>(is);

@@ -24,7 +24,9 @@ struct Trace {
   std::vector<Stream> streams;
 };
 
-/// Serialise to/from a stream. Throws std::runtime_error on malformed input.
+/// Serialise to/from a stream. Throws std::runtime_error on malformed input,
+/// including a stream or access count larger than the input could hold —
+/// checked before anything is allocated from it.
 void write_trace(std::ostream& os, const Trace& trace);
 [[nodiscard]] Trace read_trace(std::istream& is);
 

@@ -115,10 +115,12 @@ TEST(FleetSystem, OversizedJobsRejectedAsNeverFits) {
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.fleet.rejected_never_fits, 0u);
   EXPECT_GT(r.fleet.jobs_completed, 0u);
-  for (const Job& j : system.jobs())
+  for (const Job& j : system.jobs()) {
     if (j.state == JobState::kRejected &&
-        j.reject_reason == JobRejectReason::kNeverFits)
+        j.reject_reason == JobRejectReason::kNeverFits) {
       EXPECT_GT(j.footprint_pages, 512u);
+    }
+  }
 }
 
 TEST(FleetSystem, QuotaRejectsLargeJobsAsPolicy) {

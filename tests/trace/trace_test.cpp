@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "core/policy_factory.hpp"
 #include "core/uvm_system.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_workload.hpp"
 #include "workloads/benchmarks.hpp"
@@ -63,6 +66,80 @@ TEST(TraceIo, RejectsOutOfFootprintAccess) {
   std::stringstream ss;
   write_trace(ss, t);
   EXPECT_THROW((void)read_trace(ss), std::runtime_error);
+}
+
+/// A hand-written binary header: one stream-count field the test controls.
+std::string header_bytes(u32 num_streams, u64 footprint = 64) {
+  std::ostringstream os;
+  const auto put = [&os](u64 v, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  put(kTraceMagic, 8);
+  put(kTraceVersion, 4);
+  put(num_streams, 4);
+  put(footprint, 8);
+  put(1, 1);  // pattern
+  put(0, 1);  // empty name
+  return os.str();
+}
+
+// A 40-byte file claiming 2^32 - 1 streams once asked for ~128 GB before
+// reading a single stream; the count is now bounded by the bytes present.
+TEST(TraceIo, RejectsStreamCountBeyondFileSize) {
+  std::string bytes = header_bytes(0xFFFFFFFFu);
+  bytes.resize(40, '\0');
+  std::stringstream ss(bytes);
+  try {
+    (void)read_trace(ss);
+    FAIL() << "hostile stream count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stream count"), std::string::npos);
+  }
+}
+
+TEST(TraceIo, RejectsAccessCountBeyondFileSize) {
+  std::ostringstream os;
+  os << header_bytes(1);
+  for (int i = 0; i < 4; ++i) os.put('\0');      // warp index 0
+  for (int i = 0; i < 8; ++i) os.put('\x7F');    // ~2^63 accesses
+  os << std::string(24, '\0');                   // two accesses' worth
+  std::stringstream ss(os.str());
+  try {
+    (void)read_trace(ss);
+    FAIL() << "hostile access count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("access count"), std::string::npos);
+  }
+}
+
+/// A stream buffer that cannot seek, like a pipe's.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string& bytes) {
+    setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+  }
+};
+
+TEST(TraceIo, ReadsUnseekableStreams) {
+  std::stringstream ss;
+  write_trace(ss, tiny_trace());
+  std::string bytes = ss.str();
+  PipeBuf pipe(bytes);
+  std::istream is(&pipe);
+  ASSERT_EQ(is.tellg(), std::streampos(-1));
+  const Trace r = read_trace(is);
+  EXPECT_EQ(r.streams.size(), tiny_trace().streams.size());
+
+  std::string hostile = header_bytes(0xFFFFFFFFu);
+  PipeBuf hostile_pipe(hostile);
+  std::istream his(&hostile_pipe);
+  EXPECT_THROW((void)read_trace(his), std::runtime_error);
+
+  std::string none;
+  PipeBuf empty_pipe(none);
+  std::istream eis(&empty_pipe);
+  EXPECT_THROW((void)read_trace(eis), std::runtime_error);
 }
 
 TEST(TraceIo, FileRoundTrip) {
