@@ -4,16 +4,18 @@
 // (and, for the policy structures, the cost a real driver would pay).
 //
 // The BM_Ref* benchmarks are local reference implementations of what the
-// hot structures looked like before the fast-path rewrite (std::function +
+// hot structures looked like before their fast-path rewrites (std::function +
 // std::priority_queue event loop, std::list + std::unordered_map chunk
-// chain, std::unordered_map page index) so the per-structure win stays
-// measurable after the old code is gone — see docs/performance.md.
+// chain, std::unordered_map page index, scan-for-LRU TLB fill) so the
+// per-structure win stays measurable after the old code is gone — see
+// docs/performance.md.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <list>
 #include <queue>
 #include <unordered_map>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
@@ -82,8 +84,18 @@ void BM_TlbLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupHit);
 
+/// Steady state of a 128-entry fully-associative L1 TLB: every fill
+/// displaces the least recently used translation.
+void BM_TlbFill(benchmark::State& state) {
+  Tlb tlb("t", 128, 0, 1);
+  PageId next = 0;
+  for (; next < 128; ++next) tlb.fill(next);
+  for (auto _ : state) benchmark::DoNotOptimize(tlb.fill(next++));
+}
+BENCHMARK(BM_TlbFill);
+
 void BM_SetAssocCacheInsert(benchmark::State& state) {
-  SetAssocCache cache(512, 16);
+  TranslationCache cache(512, 16);
   u64 tag = 0;
   for (auto _ : state) benchmark::DoNotOptimize(cache.insert(tag++));
 }
@@ -204,6 +216,52 @@ void BM_RefChunkChainMoveToTail(benchmark::State& state) {
   for (auto _ : state) chain.move_to_tail(rng.below(1024));
 }
 BENCHMARK(BM_RefChunkChainMoveToTail);
+
+/// The old per-tag TLB array: stamped lines beside a FlatMap tag index, and
+/// a fill that scans the tag's set for the first free way, else the
+/// smallest stamp (fully associative here: one set).
+class RefScanTlb {
+ public:
+  explicit RefScanTlb(u32 entries) : lines_(entries) { index_.reserve(entries); }
+
+  u64 insert(u64 tag) {
+    Line* victim = nullptr;
+    for (Line& l : lines_) {
+      if (l.stamp != 0 && l.tag == tag) {
+        l.stamp = ++tick_;
+        return kInvalidPage;
+      }
+      if (l.stamp == 0) {
+        victim = &l;
+        break;
+      }
+      if (victim == nullptr || l.stamp < victim->stamp) victim = &l;
+    }
+    const u64 evicted = victim->stamp != 0 ? victim->tag : kInvalidPage;
+    if (victim->stamp != 0) index_.erase(victim->tag);
+    victim->tag = tag;
+    victim->stamp = ++tick_;
+    index_.try_emplace(tag, static_cast<u32>(victim - lines_.data()));
+    return evicted;
+  }
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    u64 stamp = 0;
+  };
+  std::vector<Line> lines_;
+  FlatMap<u64, u32> index_;
+  u64 tick_ = 0;
+};
+
+void BM_RefTlbFillScan(benchmark::State& state) {
+  RefScanTlb tlb(128);
+  PageId next = 0;
+  for (; next < 128; ++next) tlb.insert(next);
+  for (auto _ : state) benchmark::DoNotOptimize(tlb.insert(next++));
+}
+BENCHMARK(BM_RefTlbFillScan);
 
 // ---- FlatMap vs std::unordered_map (page-table-shaped churn) ---------------
 

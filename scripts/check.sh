@@ -107,6 +107,21 @@ fi
 echo "hostile trace header OK"
 
 echo
+echo "== hostile arrival trace (a signed gap must exit 2, naming its line) =="
+# "-5" once read as a gap of 2^64 - 5 cycles: the fleet ran, exited 0 and
+# reported goodput 0.000.
+printf '# gaps\n100\n-5\n' > "$TRACE_DIR/hostile_arrivals.txt"
+rc=0
+"$BUILD"/tools/uvmsim --fleet --jobs 20 \
+  --arrival-trace "$TRACE_DIR/hostile_arrivals.txt" \
+  >/dev/null 2>"$TRACE_DIR/hostile_arrivals.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "line 3" "$TRACE_DIR/hostile_arrivals.err"; then
+  echo "FAIL: hostile arrival trace exited $rc: $(cat "$TRACE_DIR/hostile_arrivals.err")"
+  exit 1
+fi
+echo "hostile arrival trace OK"
+
+echo
 echo "== fabric spill smoke (spill-to-peer must cut host write-back) =="
 "$BUILD"/bench/fabric_scaling --smoke
 

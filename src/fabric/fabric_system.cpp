@@ -77,7 +77,7 @@ FabricSystem::~FabricSystem() = default;
 
 void FabricSystem::add_sink(TraceSink* sink) { trace_.add_sink(sink); }
 
-void FabricSystem::set_event_mask(u32 mask) { trace_.set_event_mask(mask); }
+void FabricSystem::set_event_mask(u64 mask) { trace_.set_event_mask(mask); }
 
 RunResult FabricSystem::run(Cycle max_cycles) {
   for (auto& g : gpus_) g->launch();

@@ -62,7 +62,7 @@ class FabricSystem {
   /// Attach a trace sink / event mask to every device's recorder. Sharded
   /// runs deliver the merged, deterministic stream to the sink after run().
   void add_sink(TraceSink* sink);
-  void set_event_mask(u32 mask);
+  void set_event_mask(u64 mask);
 
   [[nodiscard]] u32 num_gpus() const noexcept {
     return static_cast<u32>(gpus_.size());

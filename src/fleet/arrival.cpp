@@ -1,7 +1,9 @@
 #include "fleet/arrival.hpp"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 namespace uvmsim {
 
@@ -10,12 +12,22 @@ std::vector<Cycle> ArrivalStream::load_trace(const std::string& path) {
   if (!in) return {};
   std::vector<Cycle> gaps;
   std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
+  for (u64 line_no = 1; std::getline(in, line); ++line_no) {
+    std::string_view text(line);
+    text = text.substr(0, text.find('#'));
+    const std::size_t first = text.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos) continue;  // blank or comment
+    text = text.substr(first, text.find_last_not_of(" \t\r") + 1 - first);
+    // from_chars takes no sign, space or prefix for an unsigned type, so
+    // "-5", "+5", "12abc" and "xyz" fail here instead of parsing loosely.
     u64 gap = 0;
-    if (ls >> gap) gaps.push_back(gap);
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), gap);
+    if (ec != std::errc{} || end != text.data() + text.size())
+      throw std::runtime_error("arrival trace " + path + ": line " +
+                               std::to_string(line_no) +
+                               ": expected one unsigned decimal gap, got '" +
+                               std::string(text) + "'");
+    gaps.push_back(gap);
   }
   return gaps;
 }

@@ -61,9 +61,11 @@ class ArrivalStream {
 
   [[nodiscard]] bool trace_driven() const noexcept { return !trace_.empty(); }
 
-  /// Parse an interarrival trace file: one decimal gap (cycles) per line,
-  /// blank lines and '#' comments ignored. Returns empty on an unreadable
-  /// or gap-free file (the caller falls back to Poisson or reports).
+  /// Parse an interarrival trace file: one unsigned decimal gap (cycles)
+  /// per line, blank lines and '#' comments ignored. Returns empty on an
+  /// unreadable or gap-free file (the caller falls back to Poisson or
+  /// reports). Throws std::runtime_error naming the line number for any
+  /// other line: a sign, trailing text, a non-number or a gap past 2^64-1.
   [[nodiscard]] static std::vector<Cycle> load_trace(const std::string& path);
 
  private:

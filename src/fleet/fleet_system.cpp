@@ -98,7 +98,7 @@ FleetSystem::~FleetSystem() = default;
 
 void FleetSystem::add_sink(TraceSink* sink) { trace_.add_sink(sink); }
 
-void FleetSystem::set_event_mask(u32 mask) { trace_.set_event_mask(mask); }
+void FleetSystem::set_event_mask(u64 mask) { trace_.set_event_mask(mask); }
 
 u64 FleetSystem::job_seed(u64 id) const {
   // Independent per-job stream: jobs of the same template differ in their

@@ -78,7 +78,7 @@ class FleetSystem {
   /// deterministic stream after run().
   void add_sink(TraceSink* sink);
   /// Apply an event filter to the fleet-level and every device recorder.
-  void set_event_mask(u32 mask);
+  void set_event_mask(u64 mask);
 
   /// The control shard's queue — THE queue under --engine seq.
   [[nodiscard]] EventQueue& queue() noexcept { return engine_->queue(0); }

@@ -27,7 +27,7 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
     sm.l1_tlb = std::make_unique<Tlb>("L1TLB." + std::to_string(s),
                                       cfg.l1_tlb_entries, cfg.l1_tlb_ways,
                                       cfg.l1_tlb_latency);
-    sm.l1d = std::make_unique<SetAssocCache>(
+    sm.l1d = std::make_unique<DataCache>(
         cfg.l1_cache_bytes / cfg.cache_line_bytes, cfg.l1_cache_ways,
         lines_per_page_);
     sm.warps.resize(cfg.warps_per_sm);
@@ -157,7 +157,7 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
       f * lines_per_page_ + (wp.access_count++ / 2 * 7) % lines_per_page_;
 
   Cycle done;
-  const SetAssocCache::Access l1d = sms_[sm].l1d->access(line);
+  const DataCache::Access l1d = sms_[sm].l1d->access(line);
   if (l1d.hit) {
     ++l1d_hits_;
     done = ready + cfg_.l1_cache_latency;

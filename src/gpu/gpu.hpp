@@ -116,7 +116,7 @@ class Gpu {
   };
   struct Sm {
     std::unique_ptr<Tlb> l1_tlb;
-    std::unique_ptr<SetAssocCache> l1d;
+    std::unique_ptr<DataCache> l1d;
     std::vector<Warp> warps;
   };
 
@@ -173,7 +173,7 @@ class Gpu {
   UvmDriver& driver_;
   Dram dram_;
   Tlb l2_tlb_;
-  SetAssocCache l2_cache_;
+  DataCache l2_cache_;
   PageWalker walker_;
   std::vector<Sm> sms_;
   u32 lines_per_page_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fabric/fabric_system.hpp"
+#include "fleet/arrival.hpp"
 #include "fleet/fleet_system.hpp"
 #include "obs/interval_metrics.hpp"
 #include "obs/trace_sink.hpp"
@@ -136,6 +137,29 @@ void validate(const ExperimentSpec& spec) {
     if (spec.fabric.spill && mode != ExperimentMode::kFleet)
       throw Reject("the sharded engine does not support spill "
                    "(chunks may not change device)");
+  }
+
+  // A recorded arrival trace must parse (load_trace throws on a hostile
+  // line), hold a gap, and fit every gap inside the run's cycle cap. Job k
+  // arrives at the sum of the first k + 1 gaps (the trace cycles), and
+  // that clock must not wrap, which an uncapped run would otherwise allow.
+  if (const std::string& path = spec.fleet.arrival_trace; !path.empty()) {
+    const std::vector<Cycle> gaps = ArrivalStream::load_trace(path);
+    if (gaps.empty())
+      throw Reject("cannot read arrival trace (or no gaps): " + path);
+    for (const Cycle gap : gaps)
+      if (gap > spec.max_cycles)
+        throw Reject("arrival trace " + path + ": gap " + std::to_string(gap) +
+                     " exceeds max_cycles " + std::to_string(spec.max_cycles));
+    const u64 jobs = spec.fleet.enabled ? spec.fleet.jobs : 0;
+    Cycle arrival = 0;
+    for (u64 k = 0; k < jobs; ++k) {
+      const Cycle gap = gaps[k % gaps.size()];
+      if (gap > ~Cycle{0} - arrival)
+        throw Reject("arrival trace " + path + ": job " + std::to_string(k) +
+                     " would arrive past the last representable cycle");
+      arrival += gap;
+    }
   }
 }
 

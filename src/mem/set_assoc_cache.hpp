@@ -1,32 +1,34 @@
-// Generic set-associative tag array with true-LRU replacement.
+// Set-associative tag arrays with true-LRU replacement, in two classes.
 //
-// Used for the per-SM L1 data caches, the shared L2 cache, the page walk
-// cache, and (via way-count = entries) fully-associative structures. Only
-// tags are modelled — the simulator cares about hit/miss timing, not data.
+// Only tags are modelled — the simulator cares about hit/miss timing, not
+// data. Both classes take `entries` and `ways` per set (0 = fully
+// associative, one set of `entries` ways); a tag's set is `tag % sets`.
+// In a full set the victim is the least recently used line (a hit or a fill
+// refreshes a line; a probe with contains() does not). Every tag is cached
+// at most once: a fill of a cached tag only refreshes it.
 //
-// Replacement always scans the tag's set: the victim is its first free way,
-// else its least recently used line. What differs is the index kept beside
-// the way array, chosen by the constructor:
-//
-//  * Per tag (`block_lines == 0`; TLBs and the page walk cache): a FlatMap
-//    tag -> line, so lookup/contains/invalidate are O(1) even in the
-//    128-way fully-associative L1 TLB. Its insert checks for the tag only
-//    up to the set's first free way, so a tag cached behind a free way is
-//    cached twice (a known defect, kept for byte-identical output; see
-//    ROADMAP, correctness).
-//  * Per block (`block_lines > 0`; the L1D and L2 data caches): tags are
-//    grouped into blocks of `block_lines` consecutive tags (one page of
-//    lines) and a FlatMap block -> bitmask holds which of the block's lines
-//    are valid. lookup and insert scan the set's 6 or 16 ways, and every
-//    tag is cached at most once. The masks let invalidate_block drop a
-//    whole page in time proportional to the lines it actually holds, so a
-//    page shootdown costs what is cached, not lines-per-page probes per
-//    cache. access() reports when a block gains its first line or loses
-//    its last, so an owner can keep a reverse index of which caches hold
-//    a block (gpu/gpu.hpp).
-//
-// The two inserts agree whenever the tag is absent, the only way the GPU
-// inserts into its data caches.
+//  * TranslationCache (the L1 and L2 TLBs, their 2 MB sub-arrays and the
+//    page walk cache): a FlatMap tag -> line beside the way array, and the
+//    ways of each set kept in a circular doubly-linked list in LRU order,
+//    least recently used at the set's head. Free ways sit at the head
+//    (invalidate moves a line there) and a hit or fill moves a line to the
+//    tail, so the victim is always the head. lookup, insert and invalidate
+//    are O(1) even in the 128-way fully-associative L1 TLB. The links live
+//    in the line array itself (a line is 16 bytes), closed by one sentinel
+//    line per set, and a way joins its list on first use, so construction
+//    writes only the sentinels.
+//  * DataCache (the L1D and L2 data caches): tags are lines, grouped into
+//    blocks of `block_lines` consecutive tags (one page of lines), and a
+//    FlatMap block -> bitmask holds which of the block's lines are valid.
+//    access() scans the set's 6 or 16 ways for the tag and, on a miss, for
+//    the first free way or else the oldest stamp. The masks let
+//    invalidate_block drop a whole page in time proportional to the lines
+//    it actually holds, so a page shootdown costs what is cached, not
+//    lines-per-page probes per cache. access() reports when a block gains
+//    its first line or loses its last, so an owner can keep a reverse
+//    index of which caches hold a block (gpu/gpu.hpp). The data caches keep
+//    the stamp scan because their sets are small and their arrays large:
+//    the linked list measured slower there (docs/performance.md).
 #pragma once
 
 #include <bit>
@@ -40,30 +42,169 @@
 
 namespace uvmsim {
 
-class SetAssocCache {
+class TranslationCache {
  public:
+  /// Returned when an insert displaced nothing; also the tag of a free line.
   static constexpr u64 kNoEviction = ~u64{0};
 
   /// `entries` total entries; `ways` per set (0 = fully associative).
-  /// `block_lines` > 0 (a power of two, at most 64) indexes by block.
-  SetAssocCache(u32 entries, u32 ways, u32 block_lines = 0)
+  TranslationCache(u32 entries, u32 ways)
       : ways_(ways == 0 ? entries : ways),
-        sets_(entries / (ways == 0 ? entries : ways)),
+        sets_(entries / ways_),
+        lines_(static_cast<std::size_t>(entries) + sets_) {
+    assert(entries > 0);
+    assert(sets_ > 0 && sets_ * ways_ == entries &&
+           "entries must be divisible by ways");
+    clear_rings();
+    index_.reserve(entries);
+  }
+
+  /// Look up `tag`; on hit, make it the most recently used. True on hit.
+  bool lookup(u64 tag) {
+    const u32* idx = index_.find(tag);
+    if (idx == nullptr) return false;
+    to_tail(set_of(tag), *idx);
+    return true;
+  }
+
+  /// Probe without updating replacement state.
+  [[nodiscard]] bool contains(u64 tag) const { return index_.contains(tag); }
+
+  /// Insert `tag`, evicting the LRU line of its set when no way is free.
+  /// Returns the evicted tag, or kNoEviction when a free way took it or it
+  /// was already cached (it is then refreshed).
+  u64 insert(u64 tag) {
+    assert(tag != kNoEviction);
+    const u32 set = set_of(tag);
+    const auto [idx, added] = index_.try_emplace(tag);  // presence first
+    if (!added) {
+      to_tail(set, *idx);
+      return kNoEviction;
+    }
+    const u32 s = sentinel(set);
+    Line& ring = lines_[s];
+    u32 victim = ring.next;  // a way an invalidate freed, else the LRU line
+    if (ring.tag < ways_ && lines_[victim].tag != kNoEviction) {
+      // No freed way: link in the set's next never-used way instead.
+      victim = set * ways_ + static_cast<u32>(ring.tag++);
+      lines_[victim].tag = kNoEviction;
+      link_between(victim, s, ring.next);
+    }
+    *idx = victim;
+    Line& line = lines_[victim];
+    const u64 evicted = line.tag;
+    line.tag = tag;
+    to_tail(set, victim);
+    // Last: erasing may shift other index slots, `idx` among them.
+    if (evicted != kNoEviction) index_.erase(evicted);
+    return evicted;
+  }
+
+  /// Remove `tag` if present (e.g. TLB shootdown on eviction). Returns true
+  /// if removed.
+  bool invalidate(u64 tag) {
+    u32 idx = 0;
+    if (!index_.take(tag, idx)) return false;
+    lines_[idx].tag = kNoEviction;
+    to_head(set_of(tag), idx);
+    return true;
+  }
+
+  void invalidate_all() {
+    clear_rings();
+    index_.clear();
+  }
+
+  [[nodiscard]] u32 ways() const noexcept { return ways_; }
+  [[nodiscard]] u32 sets() const noexcept { return sets_; }
+  [[nodiscard]] u32 entries() const noexcept { return ways_ * sets_; }
+  [[nodiscard]] u32 occupancy() const noexcept {
+    return static_cast<u32>(index_.size());
+  }
+
+ private:
+  /// prev/next are indices into lines_ within the same set's ring. A
+  /// linked way is free while its tag is kNoEviction; a sentinel's tag
+  /// counts the ways of its set linked so far.
+  struct Line {
+    u64 tag;
+    u32 prev;
+    u32 next;
+  };
+
+  [[nodiscard]] u32 set_of(u64 tag) const noexcept {
+    return static_cast<u32>(tag % sets_);
+  }
+  /// The ring's fixed point: its next is the set's least recently used
+  /// line, its prev the most recently used.
+  [[nodiscard]] u32 sentinel(u32 set) const noexcept {
+    return ways_ * sets_ + set;
+  }
+
+  /// Empty every set's ring; ways are linked in by insert as they are
+  /// first needed, so construction touches only the sentinels.
+  void clear_rings() {
+    for (u32 set = 0; set < sets_; ++set) {
+      const u32 s = sentinel(set);
+      lines_[s] = {0, s, s};
+    }
+  }
+
+  void unlink(u32 i) {
+    const Line& l = lines_[i];
+    lines_[l.prev].next = l.next;
+    lines_[l.next].prev = l.prev;
+  }
+  void link_between(u32 i, u32 prev, u32 next) {
+    lines_[i].prev = prev;
+    lines_[i].next = next;
+    lines_[prev].next = i;
+    lines_[next].prev = i;
+  }
+
+  /// Make line `i` of `set` the most recently used.
+  void to_tail(u32 set, u32 i) {
+    const u32 s = sentinel(set);
+    unlink(i);
+    link_between(i, lines_[s].prev, s);
+  }
+
+  /// Make line `i` of `set` the next victim.
+  void to_head(u32 set, u32 i) {
+    const u32 s = sentinel(set);
+    unlink(i);
+    link_between(i, s, lines_[s].next);
+  }
+
+  u32 ways_;
+  u32 sets_;
+  std::vector<Line> lines_;  ///< sets_ * ways_ ways, then one sentinel per set
+  FlatMap<u64, u32> index_;  ///< valid tag -> index into lines_
+};
+
+class DataCache {
+ public:
+  static constexpr u64 kNoEviction = ~u64{0};
+
+  /// `entries` total lines; `ways` per set (0 = fully associative);
+  /// `block_lines` tags per block, a power of two of at most 64.
+  DataCache(u32 entries, u32 ways, u32 block_lines)
+      : ways_(ways == 0 ? entries : ways),
+        sets_(entries / ways_),
         block_lines_(block_lines),
         block_shift_(static_cast<u32>(std::countr_zero(block_lines))),
         lines_(static_cast<std::size_t>(sets_) * ways_) {
     assert(entries > 0);
-    assert(ways_ > 0 && sets_ > 0);
-    assert(sets_ * ways_ == entries && "entries must be divisible by ways");
-    if (block_lines_ > 64 || std::popcount(block_lines_) > 1)
+    assert(sets_ > 0 && sets_ * ways_ == entries &&
+           "entries must be divisible by ways");
+    if (block_lines_ > 64 || !std::has_single_bit(block_lines_))
       throw std::invalid_argument(
-          "SetAssocCache: block_lines must be 0 or a power of two <= 64");
-    if (block_lines_ == 0) index_.reserve(entries);
+          "DataCache: block_lines must be a power of two <= 64");
   }
 
-  /// Look up `tag`; on hit, refresh LRU stamp. Returns true on hit.
+  /// Look up `tag`; on hit, refresh its LRU stamp. Returns true on hit.
   bool lookup(u64 tag) {
-    Line* line = find(tag);
+    Line* line = scan(tag);
     if (line == nullptr) return false;
     line->stamp = ++tick_;
     return true;
@@ -71,35 +212,8 @@ class SetAssocCache {
 
   /// Probe without updating replacement state.
   [[nodiscard]] bool contains(u64 tag) const {
-    if (block_lines_ == 0) return index_.contains(tag);
     const u64* mask = blocks_.find(block_of(tag));
     return mask != nullptr && (*mask & bit_of(tag)) != 0;
-  }
-
-  /// Insert `tag`, evicting LRU within its set if needed. Returns the
-  /// evicted tag, or kNoEviction when a free way took it or it was cached.
-  u64 insert(u64 tag) {
-    if (block_lines_ != 0) return access(tag).evicted;
-    const u64 set = set_of(tag);
-    Line* victim = nullptr;
-    for (u32 w = 0; w < ways_; ++w) {
-      Line& l = lines_[set * ways_ + w];
-      if (l.valid() && l.tag == tag) {  // already present
-        l.stamp = ++tick_;
-        return kNoEviction;
-      }
-      if (!l.valid()) {
-        victim = &l;
-        break;
-      }
-      if (victim == nullptr || l.stamp < victim->stamp) victim = &l;
-    }
-    const u64 evicted = victim->valid() ? victim->tag : kNoEviction;
-    if (victim->valid()) index_.erase(victim->tag);
-    victim->tag = tag;
-    victim->stamp = ++tick_;
-    index_.try_emplace(tag, line_index(victim));
-    return evicted;
   }
 
   struct Access {
@@ -108,9 +222,8 @@ class SetAssocCache {
     bool opened = false;  ///< the tag is now its block's only cached line
     bool closed = false;  ///< the evicted line was its block's last one
   };
-  /// Block mode: lookup, and on a miss insert, in one scan of the set.
+  /// Lookup, and on a miss insert, in one scan of the set.
   Access access(u64 tag) {
-    assert(block_lines_ != 0);
     Access a;
     Line* set = &lines_[set_of(tag) * ways_];
     Line* free = nullptr;
@@ -141,22 +254,18 @@ class SetAssocCache {
     return a;
   }
 
-  /// Remove `tag` if present (e.g. TLB shootdown on eviction). Returns true if removed.
+  /// Remove `tag` if present. Returns true if removed.
   bool invalidate(u64 tag) {
-    Line* line = find(tag);
+    Line* line = scan(tag);
     if (line == nullptr) return false;
     line->stamp = 0;
-    if (block_lines_ == 0)
-      index_.erase(tag);
-    else
-      unmark(tag);
+    unmark(tag);
     return true;
   }
 
-  /// Block mode: remove every cached line of `block`, visiting only the
-  /// lines its mask holds. Returns how many lines were removed.
+  /// Remove every cached line of `block`, visiting only the lines its mask
+  /// holds. Returns how many lines were removed.
   u32 invalidate_block(u64 block) {
-    assert(block_lines_ != 0);
     u64 mask = 0;
     if (!blocks_.take(block, mask)) return 0;
     const u32 removed = static_cast<u32>(std::popcount(mask));
@@ -169,15 +278,11 @@ class SetAssocCache {
     return removed;
   }
 
-  /// Block mode: true when any line of `block` is cached.
-  [[nodiscard]] bool holds_block(u64 block) const {
-    assert(block_lines_ != 0);
-    return blocks_.contains(block);
-  }
+  /// True when any line of `block` is cached.
+  [[nodiscard]] bool holds_block(u64 block) const { return blocks_.contains(block); }
 
   void invalidate_all() {
     for (auto& l : lines_) l.stamp = 0;
-    index_.clear();
     blocks_.clear();
     valid_lines_ = 0;
   }
@@ -185,10 +290,7 @@ class SetAssocCache {
   [[nodiscard]] u32 ways() const noexcept { return ways_; }
   [[nodiscard]] u32 sets() const noexcept { return sets_; }
   [[nodiscard]] u32 entries() const noexcept { return ways_ * sets_; }
-
-  [[nodiscard]] u32 occupancy() const noexcept {
-    return block_lines_ == 0 ? static_cast<u32>(index_.size()) : valid_lines_;
-  }
+  [[nodiscard]] u32 occupancy() const noexcept { return valid_lines_; }
 
  private:
   /// A line is valid while its stamp is non-zero (ticks start at 1).
@@ -204,10 +306,6 @@ class SetAssocCache {
     return u64{1} << (tag & (block_lines_ - 1));
   }
 
-  [[nodiscard]] u32 line_index(const Line* l) const noexcept {
-    return static_cast<u32>(l - lines_.data());
-  }
-
   /// The valid line holding `tag` in its set, or null.
   Line* scan(u64 tag) {
     Line* set = &lines_[set_of(tag) * ways_];
@@ -216,17 +314,8 @@ class SetAssocCache {
     return nullptr;
   }
 
-  Line* find(u64 tag) {
-    if (block_lines_ != 0) return scan(tag);
-    const u32* idx = index_.find(tag);
-    if (idx == nullptr) return nullptr;
-    Line& l = lines_[*idx];
-    assert(l.valid() && l.tag == tag);
-    return &l;
-  }
-
-  /// Block mode: clear `tag`'s mask bit. Returns true if that emptied the
-  /// block (it is then dropped from the map).
+  /// Clear `tag`'s mask bit. Returns true if that emptied the block (it is
+  /// then dropped from the map).
   bool unmark(u64 tag) {
     const u64 block = block_of(tag);
     u64& mask = blocks_.at(block);
@@ -242,9 +331,8 @@ class SetAssocCache {
   u32 block_lines_;
   u32 block_shift_;
   std::vector<Line> lines_;
-  FlatMap<u64, u32> index_;   ///< per-tag mode: valid tag -> index into lines_
-  FlatMap<u64, u64> blocks_;  ///< block mode: block -> mask of valid lines
-  u32 valid_lines_ = 0;       ///< block mode: lines the masks hold
+  FlatMap<u64, u64> blocks_;  ///< block -> mask of valid lines
+  u32 valid_lines_ = 0;       ///< lines the masks hold
   u64 tick_ = 0;
 };
 

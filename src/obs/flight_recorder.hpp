@@ -33,8 +33,8 @@ class FlightRecorder {
   /// destructor so the recorder never holds a dangling observer.
   void remove_sink(TraceSink* sink) { std::erase(sinks_, sink); }
   void clear_sinks() { sinks_.clear(); }
-  void set_event_mask(u32 mask) { mask_ = mask & kAllEventsMask; }
-  [[nodiscard]] u32 event_mask() const noexcept { return mask_; }
+  void set_event_mask(u64 mask) { mask_ = mask & kAllEventsMask; }
+  [[nodiscard]] u64 event_mask() const noexcept { return mask_; }
   [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
 
   [[nodiscard]] bool wants(EventType t) const noexcept {
@@ -79,7 +79,7 @@ class FlightRecorder {
   std::vector<TraceSink*> sinks_;
   const TenantTable* tenants_ = nullptr;
   u32 device_ = kNoTraceDevice;
-  u32 mask_ = kAllEventsMask;
+  u64 mask_ = kAllEventsMask;
   u64 recorded_ = 0;
 };
 

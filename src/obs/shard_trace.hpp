@@ -89,7 +89,7 @@ class ShardTraceStage {
     }
   }
 
-  void set_event_mask(u32 mask) {
+  void set_event_mask(u64 mask) {
     for (FlightRecorder* rec : recorders_) rec->set_event_mask(mask);
   }
 

@@ -227,10 +227,11 @@ struct EventFieldNames {
   return {{}, {}, {}};
 }
 
-/// Bitmask helpers for event filtering (--trace-events).
-[[nodiscard]] constexpr u32 event_bit(EventType t) noexcept {
-  return 1u << static_cast<u32>(t);
+/// Bitmask helpers for event filtering (--trace-events): one bit per type.
+static_assert(kNumEventTypes <= 64, "event masks are u64");
+[[nodiscard]] constexpr u64 event_bit(EventType t) noexcept {
+  return u64{1} << static_cast<u32>(t);
 }
-inline constexpr u32 kAllEventsMask = (1u << kNumEventTypes) - 1;
+inline constexpr u64 kAllEventsMask = ~u64{0} >> (64 - kNumEventTypes);
 
 }  // namespace uvmsim

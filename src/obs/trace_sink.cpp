@@ -52,16 +52,16 @@ void JsonlSink::emit(const TraceEvent& e) {
 
 void JsonlSink::flush() { os_.flush(); }
 
-std::optional<u32> parse_event_mask(std::string_view spec) {
+std::optional<u64> parse_event_mask(std::string_view spec) {
   if (spec.empty() || spec == "all") return kAllEventsMask;
-  u32 mask = 0;
+  u64 mask = 0;
   while (!spec.empty()) {
     const std::size_t comma = spec.find(',');
     const std::string_view name = spec.substr(0, comma);
     bool found = false;
     for (u32 i = 0; i < kNumEventTypes; ++i) {
       if (to_string(static_cast<EventType>(i)) == name) {
-        mask |= 1u << i;
+        mask |= event_bit(static_cast<EventType>(i));
         found = true;
         break;
       }

@@ -100,7 +100,7 @@ class JsonlSink final : public TraceSink {
 /// Parse a --trace-events value: "all" or a comma-separated list of event
 /// names (see to_string(EventType)). Returns the bitmask, or nullopt when a
 /// name is unknown.
-[[nodiscard]] std::optional<u32> parse_event_mask(std::string_view spec);
+[[nodiscard]] std::optional<u64> parse_event_mask(std::string_view spec);
 
 /// Index of the first position where two event streams diverge (length
 /// differences count); nullopt when identical. The determinism checker:

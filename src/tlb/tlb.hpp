@@ -1,4 +1,4 @@
-// TLB: a SetAssocCache of page translations with hit/miss statistics and
+// TLB: a TranslationCache of page translations with hit/miss statistics and
 // (for the shared L2 TLB) port contention. Supports hit-under-miss — the
 // owner continues probing while walks for earlier misses are outstanding.
 #pragma once
@@ -15,7 +15,7 @@ namespace uvmsim {
 
 class Tlb {
  public:
-  static_assert(SetAssocCache::kNoEviction == kInvalidPage);
+  static_assert(TranslationCache::kNoEviction == kInvalidPage);
   /// `ways == 0` means fully associative (used for the 128-entry L1 TLBs).
   Tlb(std::string name, u32 entries, u32 ways, Cycle latency, u32 ports = 1)
       : name_(std::move(name)),
@@ -34,7 +34,7 @@ class Tlb {
   /// first — a hit short-circuits the per-page array. Never configured in
   /// default runs: the null pointer keeps the lookup path bit-identical.
   void configure_large(u32 entries, u32 ways = 0) {
-    large_ = std::make_unique<SetAssocCache>(entries, ways);
+    large_ = std::make_unique<TranslationCache>(entries, ways);
   }
   [[nodiscard]] bool large_enabled() const noexcept { return large_ != nullptr; }
 
@@ -91,8 +91,8 @@ class Tlb {
   }
 
   std::string name_;
-  SetAssocCache cache_;
-  std::unique_ptr<SetAssocCache> large_;  ///< 2 MB entries; null when off
+  TranslationCache cache_;
+  std::unique_ptr<TranslationCache> large_;  ///< 2 MB entries; null when off
   Cycle latency_;
   std::vector<Cycle> port_free_;
   u64 hits_ = 0;

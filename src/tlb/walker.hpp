@@ -111,7 +111,7 @@ class PageWalker {
   EventQueue& eq_;
   const PageTable& pt_;
   const SystemConfig& cfg_;
-  SetAssocCache pwc_;
+  TranslationCache pwc_;
 
   FlatMap<PageId, std::vector<WalkDone>> inflight_;
   std::deque<PageId> queue_;

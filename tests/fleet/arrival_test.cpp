@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,50 @@ TEST(ArrivalStream, LoadTraceParsesGapsAndComments) {
 
 TEST(ArrivalStream, LoadTraceUnreadableReturnsEmpty) {
   EXPECT_TRUE(ArrivalStream::load_trace("/nonexistent/arrivals.txt").empty());
+}
+
+// Each hostile line throws, naming its line number; none is read loosely.
+void expect_rejected_line(const std::string& name, const std::string& bad) {
+  const std::string path = ::testing::TempDir() + name;
+  {
+    std::ofstream f(path);
+    f << "# gaps\n" << "100\n" << bad << "\n" << "200\n";
+  }
+  try {
+    (void)ArrivalStream::load_trace(path);
+    ADD_FAILURE() << "'" << bad << "' was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ArrivalStream, LoadTraceRejectsNegativeGap) {
+  expect_rejected_line("arrivals_negative.txt", "-5");
+}
+
+TEST(ArrivalStream, LoadTraceRejectsTrailingText) {
+  expect_rejected_line("arrivals_trailing.txt", "12abc");
+}
+
+TEST(ArrivalStream, LoadTraceRejectsNonNumber) {
+  expect_rejected_line("arrivals_word.txt", "xyz");
+}
+
+TEST(ArrivalStream, LoadTraceAcceptsSurroundingSpaceAndComments) {
+  const std::string path = ::testing::TempDir() + "arrivals_spaced.txt";
+  {
+    std::ofstream f(path);
+    f << "  7\t# seven\r\n" << "18446744073709551615\n";
+  }
+  const auto trace = ArrivalStream::load_trace(path);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0], 7u);
+  EXPECT_EQ(trace[1], ~Cycle{0});
+  std::remove(path.c_str());
+  expect_rejected_line("arrivals_overflow.txt", "18446744073709551616");
+  expect_rejected_line("arrivals_two.txt", "12 34");
 }
 
 TEST(ArrivalStream, ZeroRateDoesNotDivideByZero) {

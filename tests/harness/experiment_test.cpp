@@ -111,6 +111,51 @@ TEST(Experiment, RejectsShardedSpill) {
   EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
 }
 
+TEST(Experiment, RejectsArrivalTraceGapOverMaxCycles) {
+  ExperimentSpec s = fleet_spec();
+  s.max_cycles = 1'000'000;
+  s.fleet.arrival_trace = temp_path("arrivals_long_gap.txt");
+  {
+    std::ofstream f(s.fleet.arrival_trace);
+    f << "1000\n1000001\n";
+  }
+  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+  s.max_cycles = 1'000'001;  // the same gap fits a looser cap
+  EXPECT_NO_THROW(validate(s));
+  std::filesystem::remove(s.fleet.arrival_trace);
+}
+
+// Uncapped (as the CLI runs), every gap fits, but two jobs 2^63 cycles
+// apart would wrap the arrival clock.
+TEST(Experiment, RejectsArrivalTraceThatWrapsTheClock) {
+  ExperimentSpec s = fleet_spec();
+  s.max_cycles = ~Cycle{0};
+  s.fleet.jobs = 2;
+  s.fleet.arrival_trace = temp_path("arrivals_wrap.txt");
+  {
+    std::ofstream f(s.fleet.arrival_trace);
+    f << "9223372036854775808\n";
+  }
+  EXPECT_THROW(validate(s), std::invalid_argument);
+  s.fleet.jobs = 1;
+  EXPECT_NO_THROW(validate(s));
+  std::filesystem::remove(s.fleet.arrival_trace);
+}
+
+TEST(Experiment, RejectsUnreadableOrHostileArrivalTrace) {
+  ExperimentSpec s = fleet_spec();
+  s.fleet.arrival_trace = temp_path("no_such_arrivals.txt");
+  std::filesystem::remove(s.fleet.arrival_trace);
+  EXPECT_THROW(validate(s), std::invalid_argument);
+  s.fleet.arrival_trace = temp_path("arrivals_signed.txt");
+  {
+    std::ofstream f(s.fleet.arrival_trace);
+    f << "-5\n";
+  }
+  EXPECT_THROW((void)run_experiment(s), std::runtime_error);
+  std::filesystem::remove(s.fleet.arrival_trace);
+}
+
 TEST(Experiment, RejectedSpecOpensNoTraceFile) {
   ExperimentSpec s = fleet_spec();
   s.tenants = {"HOT", "STN"};

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/policy_registry.hpp"
-#include "fleet/arrival.hpp"
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
@@ -576,14 +575,7 @@ int main(int argc, char** argv) {
   fl.jobs = static_cast<u64>(std::max(1ll, cli.get_int("jobs")));
   fl.arrival_rate = cli.get_double("arrival-rate");
   if (cli.was_set("oversub")) fl.oversub = spec.oversub;
-  if (cli.was_set("arrival-trace")) {
-    fl.arrival_trace = cli.get("arrival-trace");
-    if (ArrivalStream::load_trace(fl.arrival_trace).empty()) {
-      std::cerr << "error: cannot read arrival trace (or no gaps): "
-                << fl.arrival_trace << "\n";
-      return 2;
-    }
-  }
+  if (cli.was_set("arrival-trace")) fl.arrival_trace = cli.get("arrival-trace");
 
   if (!fl.enabled) fab.gpus = gpus;
   fab.remote_threshold = static_cast<u32>(cli.get_int("remote-threshold"));
