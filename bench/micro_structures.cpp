@@ -6,7 +6,8 @@
 // The BM_Ref* benchmarks are local reference implementations of what the
 // hot structures looked like before their fast-path rewrites (std::function +
 // std::priority_queue event loop, std::list + std::unordered_map chunk
-// chain, std::unordered_map page index, scan-for-LRU TLB fill) so the
+// chain, std::unordered_map page index, scan-for-LRU TLB fill, the
+// two-array splitmix64 FlatMap and the hashed page table) so the
 // per-structure win stays measurable after the old code is gone — see
 // docs/performance.md.
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "policy/mhpe.hpp"
 #include "prefetch/pattern_aware.hpp"
 #include "sim/event_queue.hpp"
+#include "tlb/page_table.hpp"
 #include "tlb/tlb.hpp"
 
 namespace uvmsim {
@@ -265,6 +267,80 @@ BENCHMARK(BM_RefTlbFillScan);
 
 // ---- FlatMap vs std::unordered_map (page-table-shaped churn) ---------------
 
+/// The FlatMap layout before the one-array rewrite: a slot array beside a
+/// separate `occupied_` byte array (every probe reads both), and the
+/// splitmix64 finaliser masked to the low bits.
+template <class K, class V>
+class RefTwoArrayMap {
+ public:
+  RefTwoArrayMap() { rehash(16); }
+
+  V* find(const K& key) {
+    for (std::size_t i = bucket_of(key); occupied_[i]; i = (i + 1) & mask_)
+      if (slots_[i].key == key) return &slots_[i].value;
+    return nullptr;
+  }
+  V& operator[](const K& key) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
+    std::size_t i = bucket_of(key);
+    for (; occupied_[i]; i = (i + 1) & mask_)
+      if (slots_[i].key == key) return slots_[i].value;
+    slots_[i] = Slot{key, V{}};
+    occupied_[i] = 1;
+    ++size_;
+    return slots_[i].value;
+  }
+  bool erase(const K& key) {
+    std::size_t j = bucket_of(key);
+    for (; occupied_[j]; j = (j + 1) & mask_)
+      if (slots_[j].key == key) break;
+    if (!occupied_[j]) return false;
+    for (std::size_t k = (j + 1) & mask_; occupied_[k]; k = (k + 1) & mask_) {
+      const std::size_t home = bucket_of(slots_[k].key);
+      if (((k - home) & mask_) >= ((k - j) & mask_)) {
+        slots_[j] = slots_[k];
+        j = k;
+      }
+    }
+    occupied_[j] = 0;
+    --size_;
+    return true;
+  }
+
+ private:
+  struct Slot {
+    K key{};
+    V value{};
+  };
+  static std::size_t splitmix(u64 x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return static_cast<std::size_t>(x);
+  }
+  std::size_t bucket_of(const K& key) const { return splitmix(key) & mask_; }
+  void rehash(std::size_t cap) {
+    std::vector<Slot> old = std::move(slots_);
+    std::vector<u8> old_occ = std::move(occupied_);
+    slots_.assign(cap, Slot{});
+    occupied_.assign(cap, 0);
+    mask_ = cap - 1;
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      if (!old_occ[i]) continue;
+      std::size_t j = bucket_of(old[i].key);
+      while (occupied_[j]) j = (j + 1) & mask_;
+      slots_[j] = old[i];
+      occupied_[j] = 1;
+    }
+  }
+  std::vector<Slot> slots_;
+  std::vector<u8> occupied_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
 template <typename Map>
 void map_churn(benchmark::State& state) {
   Map map;
@@ -289,10 +365,74 @@ void BM_FlatMapChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMapChurn);
 
+void BM_RefFlatMapTwoArrays(benchmark::State& state) {
+  map_churn<RefTwoArrayMap<PageId, PageId>>(state);
+}
+BENCHMARK(BM_RefFlatMapTwoArrays);
+
 void BM_RefUnorderedMapChurn(benchmark::State& state) {
   map_churn<std::unordered_map<PageId, PageId>>(state);
 }
 BENCHMARK(BM_RefUnorderedMapChurn);
+
+/// Lookups only, three hits to one miss, over a table of 4,096 tags spread
+/// like TLB tags — the shape of the FlatMaps that remain on the hot path.
+template <typename Map>
+void map_find(benchmark::State& state) {
+  Map map;
+  for (PageId p = 0; p < 4096; ++p) map[p * 3] = p;
+  Xoshiro256 rng(2);
+  for (auto _ : state) {
+    auto hit = map.find(rng.below(5461) * 3);  // 4096 of 5461 keys hit
+    benchmark::DoNotOptimize(hit);
+  }
+}
+
+void BM_FlatMapFind(benchmark::State& state) {
+  map_find<FlatMap<PageId, PageId>>(state);
+}
+BENCHMARK(BM_FlatMapFind);
+
+void BM_RefFlatMapTwoArraysFind(benchmark::State& state) {
+  map_find<RefTwoArrayMap<PageId, PageId>>(state);
+}
+BENCHMARK(BM_RefFlatMapTwoArraysFind);
+
+// ---- Page table: dense vector vs the FlatMap it replaced -------------------
+
+/// The fault-path frame_of probe over a half-mapped 8,192-page footprint.
+template <typename Table>
+void page_table_frame_of(benchmark::State& state, Table& table) {
+  Xoshiro256 rng(3);
+  for (PageId p = 0; p < 8192; p += 2) table.map(p, p / 2);
+  for (auto _ : state) benchmark::DoNotOptimize(table.frame_of(rng.below(8192)));
+}
+
+void BM_PageTableFrameOf(benchmark::State& state) {
+  PageTable pt(8192);
+  page_table_frame_of(state, pt);
+}
+BENCHMARK(BM_PageTableFrameOf);
+
+/// PageTable's per-page lookup as it was: a hashed FlatMap of the two-array
+/// layout.
+class RefFlatMapPageTable {
+ public:
+  void map(PageId p, FrameId f) { map_[p] = f; }
+  [[nodiscard]] FrameId frame_of(PageId p) {
+    const FrameId* f = map_.find(p);
+    return f != nullptr ? *f : kInvalidFrame;
+  }
+
+ private:
+  RefTwoArrayMap<PageId, FrameId> map_;
+};
+
+void BM_RefPageTableFlatMap(benchmark::State& state) {
+  RefFlatMapPageTable pt;
+  page_table_frame_of(state, pt);
+}
+BENCHMARK(BM_RefPageTableFlatMap);
 
 }  // namespace
 }  // namespace uvmsim

@@ -107,6 +107,25 @@ fi
 echo "hostile trace header OK"
 
 echo
+echo "== hostile trace footprint (a footprint beyond the cap must exit 2) =="
+# 62 bytes: a header declaring 2^40 pages, then one stream of two accesses.
+# Page-indexed tables allocate per page of footprint, so under the same
+# 4 GB cap the run must fail on the footprint check, not on std::bad_alloc.
+{ printf 'UVMTRC01\001\000\000\000\001\000\000\000'
+  printf '\000\000\000\000\000\001\000\000\001\000'
+  printf '\000\000\000\000\002\000\000\000\000\000\000\000'
+  head -c 24 /dev/zero; } > "$TRACE_DIR/huge_footprint.trc"
+rc=0
+(ulimit -v 4000000; "$BUILD"/tools/uvmsim --trace "$TRACE_DIR/huge_footprint.trc") \
+  >/dev/null 2>"$TRACE_DIR/huge_footprint.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "exceeds the cap of 16777216 pages" \
+    "$TRACE_DIR/huge_footprint.err"; then
+  echo "FAIL: hostile trace footprint exited $rc: $(cat "$TRACE_DIR/huge_footprint.err")"
+  exit 1
+fi
+echo "hostile trace footprint OK"
+
+echo
 echo "== hostile arrival trace (a signed gap must exit 2, naming its line) =="
 # "-5" once read as a gap of 2^64 - 5 cycles: the fleet ran, exited 0 and
 # reported goodput 0.000.
@@ -209,6 +228,10 @@ for b in "$BUILD"/bench/*; do
   echo "--- $(basename "$b") ---"
   "$b"
 done
+
+echo
+echo "== perfbench self-test (the benchmark still builds against src/) =="
+python3 perfbench/run.py --selftest
 
 echo
 echo "== wall-clock perf gate (Release, vs committed BENCH_PR5.json) =="

@@ -2,9 +2,23 @@
 //
 // FlatMap is a linear-probing, power-of-two-capacity hash map with
 // backward-shift deletion (no tombstones, so load never degrades over a
-// long run) and all entries in one contiguous slab — one cache line probe
-// for the common hit instead of unordered_map's bucket-pointer chase plus
-// per-node allocation. FlatSet is the keys-only counterpart.
+// long run) and all entries in ONE contiguous slot array: a slot is empty
+// when its key equals the reserved key `~K{0}` (kInvalidPage, kInvalidChunk
+// and TranslationCache::kNoEviction are all that value, and nothing inserts
+// them), so a probe reads one array, not a key array beside an occupancy
+// array. Inserting the reserved key throws std::invalid_argument in every
+// build type; looking it up reports absent. FlatSet is the keys-only
+// counterpart.
+//
+// Hash: multiplicative (Fibonacci) hashing on the high bits,
+// `(key * 0x9E3779B97F4A7C15) >> (64 - log2(capacity))`. One multiply, and
+// the high bits of the product depend on every key bit, so sequential ids
+// and keys that share their low bits (`k << 32`, walk-cache node tags) still
+// spread over the table.
+//
+// Keys bounded by a range the owner already knows (page and frame ids) do
+// not belong here: they index a plain vector or a DenseIdMap
+// (common/dense_id_map.hpp) instead.
 //
 // Determinism: the hash function is fixed (no per-process seeding) and the
 // containers expose NO iteration order — there is deliberately no
@@ -12,12 +26,15 @@
 // simulation behaviour cannot depend on where keys land in the table;
 // tests/common/flat_map_test.cpp pins this API property.
 //
-// Values must be default-constructible and move-assignable (backward-shift
-// deletion moves entries); keys must be trivially hashable via Hash.
+// Keys must be unsigned integers; values must be default-constructible and
+// move-assignable (backward-shift deletion moves entries).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,52 +42,42 @@
 
 namespace uvmsim {
 
-/// Mixes all input bits into all output bits (splitmix64 finaliser) —
-/// PageIds/ChunkIds are sequential, and a power-of-two table masks the low
-/// bits, so identity hashing would cluster every probe chain.
-struct U64Hash {
-  [[nodiscard]] std::size_t operator()(u64 x) const noexcept {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
-template <class K, class V, class Hash = U64Hash>
+template <class K, class V>
 class FlatMap {
+  static_assert(std::is_unsigned_v<K>, "FlatMap keys are unsigned ids");
+
  public:
+  /// The key that marks an empty slot; it can never be inserted.
+  static constexpr K kEmptyKey = ~K{0};
+
   FlatMap() = default;
   FlatMap(const FlatMap&) = default;
   FlatMap& operator=(const FlatMap&) = default;
 
   // Moves must leave the source as a valid empty map (the implicit move
-  // would leave stale capacity/mask over emptied vectors).
+  // would leave stale capacity/mask over an emptied vector).
   FlatMap(FlatMap&& o) noexcept
       : slots_(std::move(o.slots_)),
-        occupied_(std::move(o.occupied_)),
         capacity_(o.capacity_),
         mask_(o.mask_),
+        shift_(o.shift_),
         size_(o.size_) {
     o.capacity_ = o.mask_ = o.size_ = 0;
   }
   FlatMap& operator=(FlatMap&& o) noexcept {
     if (this != &o) {
       slots_ = std::move(o.slots_);
-      occupied_ = std::move(o.occupied_);
       capacity_ = o.capacity_;
       mask_ = o.mask_;
+      shift_ = o.shift_;
       size_ = o.size_;
       o.capacity_ = o.mask_ = o.size_ = 0;
     }
     return *this;
   }
 
-  /// Size the table for `n` live entries up front (e.g. the workload's
-  /// footprint or the device's frame capacity), so the hot loop never pays
-  /// a rehash.
+  /// Size the table for `n` live entries up front (e.g. a cache's entry
+  /// count), so the hot loop never pays a rehash.
   void reserve(std::size_t n) {
     std::size_t want = kMinCapacity;
     while (want * 3 < n * 4) want <<= 1;  // keep load factor <= 0.75
@@ -88,10 +95,8 @@ class FlatMap {
   }
 
   void clear() {
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      if (occupied_[i]) slots_[i] = Slot{};
-      occupied_[i] = 0;
-    }
+    for (Slot& s : slots_)
+      if (s.key != kEmptyKey) s = Slot{};
     size_ = 0;
   }
 
@@ -127,15 +132,16 @@ class FlatMap {
   /// value and whether an insert happened.
   template <class... Args>
   std::pair<V*, bool> try_emplace(const K& key, Args&&... args) {
+    if (key == kEmptyKey)
+      throw std::invalid_argument("FlatMap: the reserved empty key was inserted");
     grow_if_needed();
     std::size_t i = bucket_of(key);
-    while (occupied_[i]) {
+    while (slots_[i].key != kEmptyKey) {
       if (slots_[i].key == key) return {&slots_[i].value, false};
       i = (i + 1) & mask_;
     }
     slots_[i].key = key;
     slots_[i].value = V(std::forward<Args>(args)...);
-    occupied_[i] = 1;
     ++size_;
     return {&slots_[i].value, true};
   }
@@ -160,25 +166,28 @@ class FlatMap {
 
  private:
   struct Slot {
-    K key{};
+    K key = kEmptyKey;
     V value{};
   };
 
   static constexpr std::size_t kMinCapacity = 16;
   static constexpr std::size_t kNotFound = ~std::size_t{0};
 
+  /// Only called with capacity_ > 0, so shift_ < 64.
   [[nodiscard]] std::size_t bucket_of(const K& key) const noexcept {
-    return Hash{}(key)&mask_;
+    return static_cast<std::size_t>(
+        (static_cast<u64>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
   [[nodiscard]] std::size_t find_index(const K& key) const noexcept {
-    if (capacity_ == 0) return kNotFound;
+    if (size_ == 0) return kNotFound;  // also covers capacity 0
     std::size_t i = bucket_of(key);
-    while (occupied_[i]) {
-      if (slots_[i].key == key) return i;
+    for (;;) {
+      const K k = slots_[i].key;
+      if (k == kEmptyKey) return kNotFound;
+      if (k == key) return i;
       i = (i + 1) & mask_;
     }
-    return kNotFound;
   }
 
   void grow_if_needed() {
@@ -190,19 +199,16 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_capacity) {
-    std::vector<Slot> old_slots = std::move(slots_);
-    std::vector<u8> old_occ = std::move(occupied_);
-    const std::size_t old_capacity = capacity_;
+    std::vector<Slot> old = std::move(slots_);
     slots_ = std::vector<Slot>(new_capacity);  // values may be move-only
-    occupied_.assign(new_capacity, 0);
     capacity_ = new_capacity;
     mask_ = new_capacity - 1;
-    for (std::size_t i = 0; i < old_capacity; ++i) {
-      if (!old_occ[i]) continue;
-      std::size_t j = bucket_of(old_slots[i].key);
-      while (occupied_[j]) j = (j + 1) & mask_;
-      slots_[j] = std::move(old_slots[i]);
-      occupied_[j] = 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(new_capacity));
+    for (Slot& s : old) {
+      if (s.key == kEmptyKey) continue;
+      std::size_t j = bucket_of(s.key);
+      while (slots_[j].key != kEmptyKey) j = (j + 1) & mask_;
+      slots_[j] = std::move(s);
     }
   }
 
@@ -211,7 +217,8 @@ class FlatMap {
   /// before the hole, so lookups never need tombstones.
   void erase_at(std::size_t hole) {
     std::size_t j = hole;
-    for (std::size_t k = (hole + 1) & mask_; occupied_[k]; k = (k + 1) & mask_) {
+    for (std::size_t k = (hole + 1) & mask_; slots_[k].key != kEmptyKey;
+         k = (k + 1) & mask_) {
       const std::size_t home = bucket_of(slots_[k].key);
       // `k - home` is the entry's probe distance; if the hole at `j` is
       // within it (cyclically), the entry is unreachable once `j` empties —
@@ -221,21 +228,20 @@ class FlatMap {
         j = k;
       }
     }
-    occupied_[j] = 0;
-    slots_[j] = Slot{};  // release the value's resources
+    slots_[j] = Slot{};  // marks the slot empty and releases the value
     --size_;
   }
 
   std::vector<Slot> slots_;
-  std::vector<u8> occupied_;
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
+  unsigned shift_ = 64;
   std::size_t size_ = 0;
 };
 
 /// Keys-only companion with identical probing/deletion behaviour. Like
 /// FlatMap it exposes no iteration order.
-template <class K, class Hash = U64Hash>
+template <class K>
 class FlatSet {
  public:
   void reserve(std::size_t n) { map_.reserve(n); }
@@ -252,7 +258,7 @@ class FlatSet {
 
  private:
   struct Empty {};
-  FlatMap<K, Empty, Hash> map_;
+  FlatMap<K, Empty> map_;
 };
 
 }  // namespace uvmsim

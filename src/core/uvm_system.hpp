@@ -121,8 +121,12 @@ struct SimPerfCounters {
   /// pooled path — should stay a tiny fraction of events_executed.
   u64 oversize_events = 0;
   u64 chain_slab_capacity = 0; ///< chunk-chain slab slots across all domains/devices
-  u64 page_table_capacity = 0; ///< page-table hash slots across all devices
-  double page_table_load = 0.0;  ///< final load factor (max across devices)
+  /// Pages the dense page tables cover, summed across devices (each
+  /// device's table spans its footprint).
+  u64 page_table_capacity = 0;
+  /// Final fraction of a table's pages mapped by a per-page PTE (max across
+  /// devices); pages under a 2 MB mapping do not count.
+  double page_table_load = 0.0;
 };
 
 struct RunResult {

@@ -26,6 +26,7 @@ class ShardedWorkload final : public Workload {
     return inner_.footprint_pages();
   }
   [[nodiscard]] PatternType pattern() const override { return inner_.pattern(); }
+  [[nodiscard]] PageId first_page() const override { return inner_.first_page(); }
 
   [[nodiscard]] std::unique_ptr<AccessStream> make_stream(
       const WarpContext& ctx) const override {

@@ -5,14 +5,14 @@
 namespace uvmsim {
 
 std::unique_ptr<FaultServiceBackend> make_fault_backend(
-    const SystemConfig& sys, const PolicyConfig& pol) {
+    const SystemConfig& sys, const PolicyConfig& pol, u64 footprint_pages) {
   switch (sys.fault_backend) {
     case FaultBackendKind::kHostDriver:
-      return std::make_unique<HostDriverBackend>(sys, pol);
+      return std::make_unique<HostDriverBackend>(sys, pol, footprint_pages);
     case FaultBackendKind::kGpuDriven:
-      return std::make_unique<GpuDrivenBackend>(sys, pol);
+      return std::make_unique<GpuDrivenBackend>(sys, pol, footprint_pages);
   }
-  return std::make_unique<HostDriverBackend>(sys, pol);
+  return std::make_unique<HostDriverBackend>(sys, pol, footprint_pages);
 }
 
 }  // namespace uvmsim

@@ -97,8 +97,9 @@ class FaultServiceBackend {
   FaultBackendStats bstats_;
 };
 
-/// Build the backend SystemConfig::fault_backend selects.
+/// Build the backend SystemConfig::fault_backend selects, for faults on
+/// pages [0, footprint_pages).
 [[nodiscard]] std::unique_ptr<FaultServiceBackend> make_fault_backend(
-    const SystemConfig& sys, const PolicyConfig& pol);
+    const SystemConfig& sys, const PolicyConfig& pol, u64 footprint_pages);
 
 }  // namespace uvmsim

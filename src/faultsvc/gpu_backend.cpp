@@ -6,12 +6,14 @@
 namespace uvmsim {
 
 GpuDrivenBackend::GpuDrivenBackend(const SystemConfig& sys,
-                                   const PolicyConfig& pol)
+                                   const PolicyConfig& pol,
+                                   u64 footprint_pages)
     : window_(std::max(1u, pol.fault_batch)),
       queue_depth_(std::max(1u, sys.gpu_fault_queue_depth)),
       per_fault_cycles_(sys.gpu_fault_service_cycles()),
       doorbell_cycles_(sys.gpu_doorbell_cycles()),
       evict_service_cycles_(sys.evict_service_cycles()),
+      pending_(0, footprint_pages),
       queues_(std::max(1u, sys.num_sms)) {}
 
 bool GpuDrivenBackend::coalesce(PageId p, WakeCallback&& wake) {

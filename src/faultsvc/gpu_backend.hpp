@@ -27,14 +27,15 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/dense_id_map.hpp"
 #include "faultsvc/fault_backend.hpp"
 
 namespace uvmsim {
 
 class GpuDrivenBackend final : public FaultServiceBackend {
  public:
-  GpuDrivenBackend(const SystemConfig& sys, const PolicyConfig& pol);
+  GpuDrivenBackend(const SystemConfig& sys, const PolicyConfig& pol,
+                   u64 footprint_pages);
 
   [[nodiscard]] FaultBackendKind kind() const noexcept override {
     return FaultBackendKind::kGpuDriven;
@@ -79,7 +80,7 @@ class GpuDrivenBackend final : public FaultServiceBackend {
   Cycle handler_free_ = 0;  ///< handler occupancy horizon
 
   /// Faults raised but not yet covered by a migration plan (page -> entry).
-  FlatMap<PageId, PendingFault> pending_;
+  DenseIdMap<PendingFault> pending_;
   std::vector<std::deque<PageId>> queues_;  ///< one bounded queue per SM
   std::deque<Overflow> overflow_;           ///< raises that found a full queue
   std::deque<PageId> priority_;             ///< requeued leads, drained first

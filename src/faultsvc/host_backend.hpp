@@ -14,8 +14,9 @@ namespace uvmsim {
 
 class HostDriverBackend final : public FaultServiceBackend {
  public:
-  HostDriverBackend(const SystemConfig& sys, const PolicyConfig& pol)
-      : batcher_(pol.fault_batch),
+  HostDriverBackend(const SystemConfig& sys, const PolicyConfig& pol,
+                    u64 footprint_pages)
+      : batcher_(pol.fault_batch, footprint_pages),
         fault_latency_cycles_(sys.fault_latency_cycles()),
         evict_service_cycles_(sys.evict_service_cycles()) {}
 

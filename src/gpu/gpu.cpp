@@ -1,8 +1,22 @@
 #include "gpu/gpu.hpp"
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace uvmsim {
+namespace {
+
+/// L1D blocks are the device's frames, plus — on a fabric device — the
+/// workload's pages, since remote lines are tagged page-as-frame
+/// (finish_access).
+u64 l1d_block_count(const UvmDriver& driver, const Workload& workload) {
+  const u64 frames = driver.capacity_pages();
+  if (!driver.fabric_attached()) return frames;
+  return std::max(frames, workload.first_page() + workload.footprint_pages());
+}
+
+}  // namespace
 
 Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
          const Workload& workload, u64 seed)
@@ -16,10 +30,12 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
                 static_cast<u32>(kPageBytes) / cfg.cache_line_bytes),
       // Bind the walker to the member copy, not the ctor argument: callers
       // may pass a temporary config (multi-tenant SM slices do).
-      walker_(eq, driver.page_table(), cfg_),
+      walker_(eq, driver.page_table(), cfg_, workload.first_page(),
+              workload.footprint_pages()),
       lines_per_page_(static_cast<u32>(kPageBytes) / cfg.cache_line_bytes),
-      tlb_sharers_(cfg.num_sms),
-      l1d_sharers_(cfg.num_sms) {
+      tlb_sharers_(cfg.num_sms, workload.first_page(),
+                   workload.footprint_pages()),
+      l1d_sharers_(cfg.num_sms, 0, l1d_block_count(driver, workload)) {
   SplitMix64 seeder(seed);
   sms_.resize(cfg.num_sms);
   for (u32 s = 0; s < cfg.num_sms; ++s) {

@@ -15,20 +15,24 @@
 // lines of the departing page alongside the TLB shootdown. The data caches
 // are indexed by page block (mem/set_assoc_cache.hpp), and per-page sharer
 // masks record which SMs' L1 TLB and L1D hold anything of a page, so a
-// shootdown visits only the structures that actually cache it.
+// shootdown visits only the structures that actually cache it. The masks
+// are arrays indexed by id, sized once: the TLB masks to the workload's
+// pages, the L1D masks to the device's frames (plus, on a fabric device,
+// the pages whose remote lines are tagged page-as-frame).
 //
 // Demand touches are reported to the driver on L1 TLB misses (see
 // UvmDriver::note_touch for the fidelity argument).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/counters.hpp"
-#include "common/flat_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/set_assoc_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -130,42 +134,62 @@ class Gpu {
   /// everywhere on this GPU, visiting only the sharer SMs.
   void shootdown(PageId p, u64 block);
 
-  /// key -> the SMs whose private structure (L1 TLB or L1D) holds it, one
-  /// u64 word per 64 SMs. Point operations only, like the FlatMap beneath.
+  /// id -> the SMs whose private structure (L1 TLB or L1D) holds it, for
+  /// ids in [first, first + count): a bit matrix with one row per id, each
+  /// row num_sms bits rounded up to a power of two, so a row sits inside
+  /// one u64 word (<= 64 SMs) or spans whole words. A 4-SM fleet job's
+  /// Gpu thus spends 4 bits per frame, not a word. Adding an id outside
+  /// the range throws std::out_of_range; the other operations treat it as
+  /// shared by no SM.
   class SmSharers {
    public:
-    explicit SmSharers(u32 num_sms) : words_((num_sms + 63) / 64) {}
-    void add(u64 key, u32 sm) { map_[slot(key, sm)] |= bit(sm); }
+    SmSharers(u32 num_sms, u64 first, u64 count)
+        : row_bits_(std::bit_ceil(std::max(num_sms, 1u))),
+          first_(first),
+          count_(count),
+          masks_((count * row_bits_ + 63) / 64, 0) {}
+    void add(u64 key, u32 sm) {
+      if (key - first_ >= count_)
+        throw std::out_of_range("Gpu: sharer id outside the sized range");
+      const u64 b = bit_index(key, sm);
+      masks_[b / 64] |= u64{1} << (b % 64);
+    }
     void remove(u64 key, u32 sm) {
-      const u64 k = slot(key, sm);
-      u64* w = map_.find(k);
-      if (w == nullptr) return;
-      *w &= ~bit(sm);
-      if (*w == 0) map_.erase(k);
+      if (key - first_ >= count_) return;
+      const u64 b = bit_index(key, sm);
+      masks_[b / 64] &= ~(u64{1} << (b % 64));
     }
     [[nodiscard]] bool has(u64 key, u32 sm) const {
-      const u64* w = map_.find(slot(key, sm));
-      return w != nullptr && (*w & bit(sm)) != 0;
+      if (key - first_ >= count_) return false;
+      const u64 b = bit_index(key, sm);
+      return ((masks_[b / 64] >> (b % 64)) & 1) != 0;
     }
     /// Call `f(sm)` for every sharer of `key`, in SM order, and forget them.
     template <class F>
     void drain(u64 key, F&& f) {
-      for (u32 i = 0; i < words_; ++i) {
-        u64 w = 0;
-        if (!map_.take(key * words_ + i, w)) continue;
+      if (key - first_ >= count_) return;
+      const u64 row = bit_index(key, 0);
+      const u32 width = std::min(row_bits_, 64u);
+      const u64 field = width == 64 ? ~u64{0} : (u64{1} << width) - 1;
+      for (u32 base = 0; base < row_bits_; base += 64) {
+        u64& word = masks_[(row + base) / 64];
+        const u32 shift = static_cast<u32>((row + base) % 64);
+        u64 w = (word >> shift) & field;
+        word &= ~(field << shift);
         for (; w != 0; w &= w - 1)
-          f(i * 64 + static_cast<u32>(std::countr_zero(w)));
+          f(base + static_cast<u32>(std::countr_zero(w)));
       }
     }
 
    private:
-    [[nodiscard]] u64 slot(u64 key, u32 sm) const noexcept {
-      return key * words_ + sm / 64;
+    [[nodiscard]] u64 bit_index(u64 key, u32 sm) const noexcept {
+      return (key - first_) * row_bits_ + sm;
     }
-    [[nodiscard]] static u64 bit(u32 sm) noexcept { return u64{1} << (sm % 64); }
 
-    u32 words_;
-    FlatMap<u64, u64> map_;
+    u32 row_bits_;
+    u64 first_;
+    u64 count_;
+    std::vector<u64> masks_;
   };
 
   EventQueue& eq_;

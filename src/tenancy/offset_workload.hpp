@@ -25,13 +25,14 @@ class OffsetWorkload final : public Workload {
     return inner_.footprint_pages();
   }
   [[nodiscard]] PatternType pattern() const override { return inner_.pattern(); }
+  [[nodiscard]] PageId first_page() const override {
+    return base_ + inner_.first_page();
+  }
 
   [[nodiscard]] std::unique_ptr<AccessStream> make_stream(
       const WarpContext& ctx) const override {
     return std::make_unique<Stream>(inner_.make_stream(ctx), base_);
   }
-
-  [[nodiscard]] PageId base() const noexcept { return base_; }
 
  private:
   class Stream final : public AccessStream {

@@ -5,15 +5,18 @@
 // level contributes a node whose tag is probed in the page walk cache, so
 // spatially-close pages share upper-level nodes exactly as on real x86-64.
 //
-// Mappings live in a FlatMap (src/common/flat_map.hpp) reserved from the
-// device's frame capacity at construction — mapped pages never exceed the
-// frames backing them, so the hot fault path neither rehashes nor touches
-// the allocator. Only point lookups are used; iteration order does not
-// exist in the API.
+// Per-page mappings live in a vector indexed by page id, sized once at
+// construction to the address space it covers (the driver's footprint), so
+// a lookup is one array read and the fault path never touches the
+// allocator; kInvalidFrame marks an unmapped page. Pages outside the range
+// read as unmapped. The 2 MB large mappings, few and sparse, stay in a
+// FlatMap (src/common/flat_map.hpp).
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <stdexcept>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/types.hpp"
@@ -39,21 +42,19 @@ class PageTable {
     return ((p >> (kBitsPerLevel * level)) << 2) | level;
   }
 
-  /// Size the mapping table for `pages` simultaneously-mapped pages
-  /// (normally the device's frame capacity).
-  void reserve(std::size_t pages) {
-    map_.reserve(pages);
+  /// A table over pages [0, pages), all unmapped.
+  explicit PageTable(u64 pages) : map_(pages, kInvalidFrame) {
     large_map_.reserve(pages / kLargePages + 1);
   }
 
   [[nodiscard]] bool resident(PageId p) const {
-    if (map_.contains(p)) return true;
+    if (small_frame(p) != kInvalidFrame) return true;
     return has_large() && large_map_.contains(large_of_page(p));
   }
 
   [[nodiscard]] FrameId frame_of(PageId p) const {
-    const FrameId* f = map_.find(p);
-    if (f != nullptr) return *f;
+    const FrameId f = small_frame(p);
+    if (f != kInvalidFrame) return f;
     if (has_large()) {
       const FrameId* base = large_map_.find(large_of_page(p));
       if (base != nullptr) return *base + page_index_in_large(p);
@@ -61,18 +62,23 @@ class PageTable {
     return kInvalidFrame;
   }
 
+  /// Map `p` to `f`. A page outside the range throws std::out_of_range.
   void map(PageId p, FrameId f) {
-    assert(!map_.contains(p));
+    if (p >= map_.size())
+      throw std::out_of_range("PageTable: page outside the mapped range");
+    assert(map_[p] == kInvalidFrame && f != kInvalidFrame);
     assert(!large_map_.contains(large_of_page(p)));
-    map_.try_emplace(p, f);
+    map_[p] = f;
+    ++small_mapped_;
   }
 
   /// Remove the mapping; returns the frame that backed it. Pages covered by
   /// a large mapping must be demoted (splintered) before unmap.
   FrameId unmap(PageId p) {
-    FrameId f = kInvalidFrame;
-    [[maybe_unused]] const bool present = map_.take(p, f);
-    assert(present);
+    assert(small_frame(p) != kInvalidFrame);
+    const FrameId f = map_[p];
+    map_[p] = kInvalidFrame;
+    --small_mapped_;
     return f;
   }
 
@@ -99,9 +105,8 @@ class PageTable {
     assert(base % kLargePages == 0);
     const PageId first = first_page_of_large(l);
     for (u32 i = 0; i < kLargePages; ++i) {
-      FrameId f = kInvalidFrame;
-      [[maybe_unused]] const bool present = map_.take(first + i, f);
-      assert(present && f == base + i);
+      [[maybe_unused]] const FrameId f = unmap(first + i);
+      assert(f == base + i);
     }
     large_map_.try_emplace(l, base);
   }
@@ -113,7 +118,7 @@ class PageTable {
     [[maybe_unused]] const bool present = large_map_.take(l, base);
     assert(present);
     const PageId first = first_page_of_large(l);
-    for (u32 i = 0; i < kLargePages; ++i) map_.try_emplace(first + i, base + i);
+    for (u32 i = 0; i < kLargePages; ++i) map(first + i, base + i);
   }
 
   /// Drop a whole large mapping (large-frame eviction); returns the base.
@@ -125,16 +130,28 @@ class PageTable {
   }
 
   [[nodiscard]] std::size_t mapped_pages() const {
-    return map_.size() + large_map_.size() * kLargePages;
+    return small_mapped_ + large_map_.size() * kLargePages;
   }
   [[nodiscard]] std::size_t large_mappings() const { return large_map_.size(); }
 
   // --- Simulator-perf observability (RunResult.sim / --sim-stats) ----------
-  [[nodiscard]] std::size_t table_capacity() const { return map_.capacity(); }
-  [[nodiscard]] double load_factor() const { return map_.load_factor(); }
+  /// Length of the dense per-page table.
+  [[nodiscard]] std::size_t table_capacity() const { return map_.size(); }
+  /// Fraction of the table's pages mapped by a per-page PTE.
+  [[nodiscard]] double load_factor() const {
+    return map_.empty() ? 0.0
+                        : static_cast<double>(small_mapped_) /
+                              static_cast<double>(map_.size());
+  }
 
  private:
-  FlatMap<PageId, FrameId> map_;
+  /// The per-page PTE of `p`; kInvalidFrame when unmapped or out of range.
+  [[nodiscard]] FrameId small_frame(PageId p) const noexcept {
+    return p < map_.size() ? map_[p] : kInvalidFrame;
+  }
+
+  std::vector<FrameId> map_;  ///< page -> frame, kInvalidFrame = unmapped
+  std::size_t small_mapped_ = 0;  ///< entries of map_ that are mapped
   FlatMap<LargeId, FrameId> large_map_;  ///< region -> kLargePages-aligned base
 };
 

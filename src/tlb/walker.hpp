@@ -4,7 +4,8 @@
 // Each walk visits the 4 radix levels root-to-leaf, probing the walk cache
 // for the node at each level; a PWC miss costs a memory access through the
 // L2-cache/DRAM path (modelled as `walk_memory_latency`). Concurrent walks
-// for the same page coalesce MSHR-style into a single walk.
+// for the same page coalesce MSHR-style into a single walk. The in-flight
+// walks are indexed by page over the range of pages the walker serves.
 #pragma once
 
 #include <cassert>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/dense_id_map.hpp"
 #include "common/inline_function.hpp"
 #include "mem/set_assoc_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -27,23 +28,26 @@ class PageWalker {
   /// inline, so raising a walk performs no allocation.
   using WalkDone = InlineFunction<void(PageId page, bool resident)>;
 
-  PageWalker(EventQueue& eq, const PageTable& pt, const SystemConfig& cfg)
+  /// A walker for pages [first_page, first_page + pages): a GPU passes
+  /// its workload's page window.
+  PageWalker(EventQueue& eq, const PageTable& pt, const SystemConfig& cfg,
+             PageId first_page, u64 pages)
       : eq_(eq),
         pt_(pt),
         cfg_(cfg),
         // PWC entries: 8 KB of 8 B node pointers = 1024 entries.
-        pwc_(cfg.walk_cache_bytes / 8, cfg.walk_cache_ways) {}
+        pwc_(cfg.walk_cache_bytes / 8, cfg.walk_cache_ways),
+        inflight_(first_page, pages) {}
 
   /// Request a translation walk for `page`; `done` fires on completion.
   void walk(PageId page, WalkDone done) {
     ++walks_requested_;
-    if (auto* waiters = inflight_.find(page); waiters != nullptr) {
-      // Coalesce with the in-progress walk for the same page.
+    auto [waiters, fresh] = inflight_.try_emplace(page);
+    waiters->push_back(std::move(done));
+    if (!fresh) {  // coalesced with the in-progress walk for the same page
       ++walks_coalesced_;
-      waiters->push_back(std::move(done));
       return;
     }
-    inflight_[page].push_back(std::move(done));
     if (active_ < cfg_.walker_threads) {
       ++active_;
       start_walk(page);
@@ -113,7 +117,7 @@ class PageWalker {
   const SystemConfig& cfg_;
   TranslationCache pwc_;
 
-  FlatMap<PageId, std::vector<WalkDone>> inflight_;
+  DenseIdMap<std::vector<WalkDone>> inflight_;  ///< page -> waiting walks
   std::deque<PageId> queue_;
   u32 active_ = 0;
   std::size_t peak_queue_ = 0;

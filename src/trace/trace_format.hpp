@@ -27,4 +27,11 @@ namespace uvmsim {
 inline constexpr u64 kTraceMagic = 0x3130'4352'544D'5655ull;  // "UVMTRC01"
 inline constexpr u32 kTraceVersion = 1;
 
+/// Largest footprint a trace may declare: 64 GB of 4 KB pages, about
+/// 2,000x the largest built-in workload. The driver, the GPU and the fault
+/// tables allocate per page of footprint, so an unchecked header could ask
+/// for terabytes; the cap also keeps page ids within a DenseIdMap's u32
+/// slot range.
+inline constexpr u64 kMaxTraceFootprintPages = u64{1} << 24;
+
 }  // namespace uvmsim

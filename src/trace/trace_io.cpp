@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -45,6 +46,13 @@ u64 bytes_left(std::istream& is) {
 // bytes left divided by these.
 constexpr u64 kStreamHeaderBytes = 12;
 constexpr u64 kAccessBytes = 12;
+
+void check_footprint(u64 pages, const char* what) {
+  if (pages > kMaxTraceFootprintPages)
+    throw std::runtime_error(std::string(what) + ": footprint of " +
+                             std::to_string(pages) + " pages exceeds the cap of " +
+                             std::to_string(kMaxTraceFootprintPages) + " pages");
+}
 
 }  // namespace
 
@@ -87,6 +95,7 @@ Trace read_trace(std::istream& is) {
   Trace t;
   const u32 num_streams = get<u32>(is);
   t.footprint_pages = get<u64>(is);
+  check_footprint(t.footprint_pages, "trace");
   t.pattern = static_cast<PatternType>(get<u8>(is));
   const u8 name_len = get<u8>(is);
   t.name.resize(name_len);
@@ -151,6 +160,7 @@ Trace read_text_trace(std::istream& is) {
   }
   if (streams.empty()) throw std::runtime_error("text trace: no accesses");
   if (!footprint_given) t.footprint_pages = max_page + 1;
+  check_footprint(t.footprint_pages, "text trace");
   if (max_page >= t.footprint_pages)
     throw std::runtime_error("text trace: access outside declared footprint");
 

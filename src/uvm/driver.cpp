@@ -11,17 +11,16 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
       sys_(sys),
       pol_(pol),
       footprint_pages_(footprint_pages),
+      pt_(footprint_pages),
       chains_(pol.interval_faults),
       frames_(capacity_pages, u64{pol.pre_evict_watermark_chunks} * kChunkPages),
-      backend_(make_fault_backend(sys, pol)),
+      backend_(make_fault_backend(sys, pol, footprint_pages)),
       evictor_(eq, chains_, pt_, frames_, sys.pcie_page_cycles(), stats_),
-      scheduler_(eq, sys, pol, frames_, pt_, chains_, stats_) {
+      scheduler_(eq, sys, pol, footprint_pages, frames_, pt_, chains_,
+                 stats_) {
   scheduler_.set_completion_hook(
       [this](TenantId t, bool peer) { post_migration(t, peer); });
   scheduler_.set_backend(backend_.get());
-  // Mapped pages never exceed the frames backing them: size the page table
-  // once so the fault path never rehashes mid-run.
-  pt_.reserve(capacity_pages);
   chains_.reserve_chunks(capacity_pages / kChunkPages + 1);
   if (pol.large_pages) {
     frames_.enable_large_frames();

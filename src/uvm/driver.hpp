@@ -144,6 +144,8 @@ class UvmDriver final : public ResidencyView {
   /// bit-for-bit the pre-fabric driver.
   void attach_fabric(FabricPort* fabric, u32 device, bool spill);
   [[nodiscard]] u32 device_id() const noexcept { return device_; }
+  /// Has attach_fabric been called?
+  [[nodiscard]] bool fabric_attached() const noexcept { return fabric_ != nullptr; }
   /// Is a migration covering `p` in flight on this device?
   [[nodiscard]] bool migration_in_flight(PageId p) const {
     return scheduler_.in_flight(p);

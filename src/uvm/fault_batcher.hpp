@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hpp"
+#include "common/dense_id_map.hpp"
 #include "common/types.hpp"
 #include "tenancy/tenant.hpp"
 #include "uvm/driver_types.hpp"
@@ -29,7 +29,9 @@ namespace uvmsim {
 
 class FaultBatcher {
  public:
-  explicit FaultBatcher(u32 window) : window_(std::max(1u, window)) {}
+  /// Batches of up to `window` faults over pages [0, pages).
+  FaultBatcher(u32 window, u64 pages)
+      : window_(std::max(1u, window)), pending_(0, pages) {}
 
   [[nodiscard]] u32 window() const noexcept { return window_; }
   [[nodiscard]] bool pending(PageId p) const { return pending_.contains(p); }
@@ -104,7 +106,7 @@ class FaultBatcher {
  private:
   u32 window_;
   /// Faults raised but not yet covered by a migration plan (page -> entry).
-  FlatMap<PageId, PendingFault> pending_;
+  DenseIdMap<PendingFault> pending_;
   std::deque<PageId> fault_queue_;  ///< admission-controlled backlog
 };
 

@@ -10,8 +10,9 @@ namespace uvmsim {
 
 MigrationScheduler::MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
                                        const PolicyConfig& pol,
-                                       FramePool& frames, PageTable& pt,
-                                       ChainSet& chains, DriverStats& stats)
+                                       u64 footprint_pages, FramePool& frames,
+                                       PageTable& pt, ChainSet& chains,
+                                       DriverStats& stats)
     : eq_(eq),
       frames_(frames),
       pt_(pt),
@@ -21,7 +22,8 @@ MigrationScheduler::MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
       fault_latency_cycles_(sys.fault_latency_cycles()),
       evict_service_cycles_(sys.evict_service_cycles()),
       fault_batch_(std::max(1u, pol.fault_batch)),
-      max_concurrent_migrations_(std::max(1u, pol.driver_concurrency)) {}
+      max_concurrent_migrations_(std::max(1u, pol.driver_concurrency)),
+      inflight_(0, footprint_pages) {}
 
 void MigrationScheduler::merge_plan(std::vector<PageId>& merged,
                                     const std::vector<PageId>& plan) {

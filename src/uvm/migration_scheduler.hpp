@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/dense_id_map.hpp"
 #include "mem/bandwidth_link.hpp"
 #include "obs/flight_recorder.hpp"
 #include "policy/eviction_policy.hpp"
@@ -36,9 +36,11 @@ class LargeFrameManager;
 
 class MigrationScheduler {
  public:
+  /// Migrates pages [0, footprint_pages) into `frames`, mapping them in `pt`.
   MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
-                     const PolicyConfig& pol, FramePool& frames, PageTable& pt,
-                     ChainSet& chains, DriverStats& stats);
+                     const PolicyConfig& pol, u64 footprint_pages,
+                     FramePool& frames, PageTable& pt, ChainSet& chains,
+                     DriverStats& stats);
 
   MigrationScheduler(const MigrationScheduler&) = delete;
   MigrationScheduler& operator=(const MigrationScheduler&) = delete;
@@ -111,7 +113,7 @@ class MigrationScheduler {
   u32 max_concurrent_migrations_;  ///< PolicyConfig::driver_concurrency
 
   /// page -> warps waiting for it (migration underway).
-  FlatMap<PageId, PendingFault> inflight_;
+  DenseIdMap<PendingFault> inflight_;
   FlightRecorder* rec_ = nullptr;
   TenantTable* tenants_ = nullptr;
   FabricPort* fabric_ = nullptr;

@@ -50,6 +50,10 @@ class Workload {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual std::string abbr() const = 0;
   [[nodiscard]] virtual u64 footprint_pages() const = 0;
+  /// The streams emit pages in [first_page(), first_page() +
+  /// footprint_pages()); a relocated workload (OffsetWorkload) starts
+  /// past 0.
+  [[nodiscard]] virtual PageId first_page() const { return 0; }
   [[nodiscard]] virtual PatternType pattern() const = 0;
   [[nodiscard]] virtual std::unique_ptr<AccessStream> make_stream(
       const WarpContext& ctx) const = 0;

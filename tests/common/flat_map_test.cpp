@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "tlb/page_table.hpp"
 
 namespace uvmsim {
 namespace {
@@ -85,9 +88,9 @@ TEST(FlatMap, ReservePreventsRehash) {
 TEST(FlatMap, EraseKeepsCollidingKeysReachable) {
   FlatMap<u64, int> m;
   m.reserve(64);
-  // With splitmix64 finalisation we can't pick colliding keys analytically;
-  // instead drive a dense map (high collision probability) and erase from
-  // the middle of runs at every step.
+  // Rather than engineer collisions for one hash function, drive a dense
+  // map (high collision probability) and erase from the middle of runs at
+  // every step.
   std::vector<u64> keys;
   for (u64 k = 0; k < 48; ++k) {
     m[k * 0x9e3779b97f4a7c15ull] = static_cast<int>(k);
@@ -143,6 +146,80 @@ TEST(FlatMap, ChurnMatchesUnorderedMapReference) {
     ASSERT_NE(m.find(k), nullptr);
     EXPECT_EQ(*m.find(k), v);
   }
+}
+
+// The empty-slot marker is the key ~K{0}: inserting it must fail loudly in
+// every build type (it would silently vanish otherwise), and looking it up
+// reports absent whether or not the table holds anything.
+TEST(FlatMap, InsertingTheReservedKeyThrows) {
+  FlatMap<u64, int> m;
+  EXPECT_FALSE(m.contains(kInvalidPage));
+  EXPECT_THROW(m.try_emplace(kInvalidPage, 1), std::invalid_argument);
+  constexpr u64 kEmpty = FlatMap<u64, int>::kEmptyKey;
+  EXPECT_THROW(m[kEmpty], std::invalid_argument);
+  EXPECT_EQ(m.size(), 0u);
+  for (u64 k = 0; k < 40; ++k) m[k] = 1;
+  EXPECT_EQ(m.find(kInvalidPage), nullptr);
+  EXPECT_FALSE(m.erase(kInvalidPage));
+  EXPECT_EQ(m.size(), 40u);
+
+  FlatMap<u32, int> narrow;  // the reserved key follows the key width
+  EXPECT_THROW(narrow.try_emplace(~u32{0}, 1), std::invalid_argument);
+  EXPECT_TRUE(narrow.try_emplace(u32{0x7fffffff}, 1).second);
+
+  FlatSet<u64> s;
+  EXPECT_THROW(s.insert(kInvalidChunk), std::invalid_argument);
+  EXPECT_FALSE(s.contains(kInvalidChunk));
+}
+
+/// Churn `m` against std::unordered_map over 2,048 keys drawn through
+/// `key_of` — the multiplicative hash must keep every family reachable.
+void churn_keys(const std::function<u64(u64)>& key_of, u64 seed) {
+  FlatMap<u64, u64> m;
+  std::unordered_map<u64, u64> ref;
+  Xoshiro256 rng(seed);
+  for (int step = 0; step < 200'000; ++step) {
+    const u64 key = key_of(rng.below(2048));
+    switch (rng.below(4)) {
+      case 0:
+      case 1: {
+        const u64 val = rng.next();
+        m[key] = val;
+        ref[key] = val;
+        break;
+      }
+      case 2:
+        ASSERT_EQ(m.erase(key), ref.erase(key) > 0);
+        break;
+      case 3: {
+        const u64* v = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end());
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size());
+  }
+  for (const auto& [k, v] : ref) {
+    ASSERT_NE(m.find(k), nullptr) << k;
+    EXPECT_EQ(*m.find(k), v);
+  }
+}
+
+// Keys that agree in their low bits are the classic failure of a masked
+// hash; the high bits of the product must still spread them.
+TEST(FlatMap, ChurnWithKeysSharingLowBits) {
+  churn_keys([](u64 k) { return k << 32; }, 1);
+  churn_keys([](u64 k) { return k * 4; }, 2);
+  // Page-walk-cache tags: level in the low two bits, node index above.
+  churn_keys(
+      [](u64 k) {
+        return PageTable::node_tag(k * 512, static_cast<u32>(k % PageTable::kLevels));
+      },
+      3);
 }
 
 TEST(FlatMap, ClearEmptiesButKeepsCapacity) {

@@ -24,7 +24,7 @@ GpuDrivenBackend make_gpu(u32 sms = 4, u32 depth = 32, u32 window = 16) {
   PolicyConfig pol = presets::cppe();
   pol.fault_batch = window;  // the handler window; 1 (the default) drains
                              // one fault per pickup like the classic driver
-  return GpuDrivenBackend(gpu_cfg(sms, depth), pol);
+  return GpuDrivenBackend(gpu_cfg(sms, depth), pol, /*footprint_pages=*/64);
 }
 
 // --- Factory ----------------------------------------------------------------
@@ -32,12 +32,12 @@ GpuDrivenBackend make_gpu(u32 sms = 4, u32 depth = 32, u32 window = 16) {
 TEST(FaultBackendFactory, SelectsBackendFromSystemConfig) {
   SystemConfig sys;
   const PolicyConfig pol = presets::cppe();
-  auto host = make_fault_backend(sys, pol);
+  auto host = make_fault_backend(sys, pol, /*footprint_pages=*/64);
   EXPECT_EQ(host->kind(), FaultBackendKind::kHostDriver);
   EXPECT_STREQ(host->name(), "host");
 
   sys.fault_backend = FaultBackendKind::kGpuDriven;
-  auto gpu = make_fault_backend(sys, pol);
+  auto gpu = make_fault_backend(sys, pol, /*footprint_pages=*/64);
   EXPECT_EQ(gpu->kind(), FaultBackendKind::kGpuDriven);
   EXPECT_STREQ(gpu->name(), "gpu-driven");
 }
@@ -58,7 +58,7 @@ TEST(FaultBackendFactory, ParseRoundTrips) {
 // and no stats, so every golden artefact stays byte-identical.
 TEST(HostDriverBackend, ChargesFixedLatencyAndStaysSilent) {
   SystemConfig sys;
-  HostDriverBackend b(sys, presets::cppe());
+  HostDriverBackend b(sys, presets::cppe(), /*footprint_pages=*/64);
   const Cycle done = b.reserve_service(/*now=*/1000, /*lead=*/7, /*faults=*/3,
                                        /*demand_evictions=*/2);
   EXPECT_EQ(done, 1000 + sys.fault_latency_cycles() +
@@ -115,7 +115,7 @@ TEST(GpuDrivenBackend, WindowBoundsTheBatch) {
   SystemConfig sys = gpu_cfg(/*sms=*/1, /*depth=*/16);
   PolicyConfig pol = presets::cppe();
   pol.fault_batch = 2;
-  GpuDrivenBackend b(sys, pol);
+  GpuDrivenBackend b(sys, pol, /*footprint_pages=*/64);
   for (PageId p = 0; p < 5; ++p) b.raise(p, 0, WakeCallback{}, 0);
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{0, 1}));
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{2, 3}));
@@ -185,7 +185,7 @@ TEST(GpuDrivenBackend, CoalesceAttachesToPendingFaultOnly) {
 
 TEST(GpuDrivenBackend, HandlerOccupancySerializesBursts) {
   SystemConfig sys = gpu_cfg();
-  GpuDrivenBackend b(sys, presets::cppe());
+  GpuDrivenBackend b(sys, presets::cppe(), /*footprint_pages=*/64);
   const Cycle doorbell = sys.gpu_doorbell_cycles();
   const Cycle per_fault = sys.gpu_fault_service_cycles();
 

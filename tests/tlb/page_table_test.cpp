@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace uvmsim {
 namespace {
 
 TEST(PageTable, MapUnmapRoundTrip) {
-  PageTable pt;
+  PageTable pt{128};
   EXPECT_FALSE(pt.resident(7));
   pt.map(7, 123);
   EXPECT_TRUE(pt.resident(7));
@@ -16,16 +18,63 @@ TEST(PageTable, MapUnmapRoundTrip) {
 }
 
 TEST(PageTable, FrameOfMissingIsInvalid) {
-  PageTable pt;
+  PageTable pt{128};
   EXPECT_EQ(pt.frame_of(99), kInvalidFrame);
 }
 
 TEST(PageTable, CountsMappedPages) {
-  PageTable pt;
+  PageTable pt{128};
   for (PageId p = 0; p < 10; ++p) pt.map(p, p);
   EXPECT_EQ(pt.mapped_pages(), 10u);
   pt.unmap(3);
   EXPECT_EQ(pt.mapped_pages(), 9u);
+}
+
+// The table is dense over [0, pages): the last page maps like any other,
+// and lookups past the end read as unmapped without touching memory
+// outside the table.
+TEST(PageTable, LookupsAtAndPastTheSizedRange) {
+  PageTable pt{16};
+  EXPECT_EQ(pt.table_capacity(), 16u);
+  pt.map(15, 3);
+  EXPECT_TRUE(pt.resident(15));
+  EXPECT_EQ(pt.frame_of(15), 3u);
+  for (const PageId p : {PageId{16}, PageId{17}, PageId{1} << 40, kInvalidPage}) {
+    EXPECT_FALSE(pt.resident(p)) << p;
+    EXPECT_EQ(pt.frame_of(p), kInvalidFrame) << p;
+  }
+  EXPECT_THROW(pt.map(16, 4), std::out_of_range);
+  EXPECT_EQ(pt.mapped_pages(), 1u);
+}
+
+TEST(PageTable, MappedPagesThroughPromoteAndDemote) {
+  PageTable pt{2 * kLargePages};
+  EXPECT_EQ(pt.table_capacity(), 2 * kLargePages);
+  EXPECT_EQ(pt.load_factor(), 0.0);
+  for (u32 i = 0; i < kLargePages; ++i) pt.map(i, i);
+  EXPECT_EQ(pt.mapped_pages(), kLargePages);
+  EXPECT_DOUBLE_EQ(pt.load_factor(), 0.5);
+
+  // Promotion folds the 512 PTEs into one large leaf: nothing is unmapped.
+  pt.promote(0, 0);
+  EXPECT_EQ(pt.mapped_pages(), kLargePages);
+  EXPECT_EQ(pt.large_mappings(), 1u);
+  EXPECT_EQ(pt.load_factor(), 0.0);  // no per-page PTE left
+  EXPECT_EQ(pt.frame_of(7), 7u);     // served by the large leaf
+  EXPECT_TRUE(pt.resident(kLargePages - 1));
+  EXPECT_FALSE(pt.resident(kLargePages));
+
+  pt.demote(0);
+  EXPECT_EQ(pt.large_mappings(), 0u);
+  EXPECT_EQ(pt.mapped_pages(), kLargePages);
+  EXPECT_EQ(pt.frame_of(7), 7u);
+
+  EXPECT_EQ(pt.unmap(5), 5u);
+  EXPECT_EQ(pt.mapped_pages(), kLargePages - 1);
+  EXPECT_FALSE(pt.resident(5));
+  pt.map(kLargePages, 900);
+  EXPECT_EQ(pt.mapped_pages(), kLargePages);
+  EXPECT_EQ(pt.table_capacity(), 2 * kLargePages);  // never grows
 }
 
 TEST(PageTable, NodeTagsShareUpperLevels) {

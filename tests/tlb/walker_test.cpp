@@ -7,13 +7,16 @@ namespace {
 
 struct WalkerFixture : ::testing::Test {
   EventQueue eq;
-  PageTable pt;
+  PageTable pt{64};
+  /// Walks cover more pages than the table maps: the PWC-cold pages
+  /// p * 100000 below read as not resident.
+  static constexpr u64 kWalkPages = 1'000'000;
   SystemConfig cfg;
 };
 
 TEST_F(WalkerFixture, WalkFindsResidentPage) {
   pt.map(5, 0);
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   bool called = false;
   w.walk(5, [&](PageId p, bool resident) {
     called = true;
@@ -26,7 +29,7 @@ TEST_F(WalkerFixture, WalkFindsResidentPage) {
 }
 
 TEST_F(WalkerFixture, WalkReportsFault) {
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   bool resident = true;
   w.walk(5, [&](PageId, bool r) { resident = r; });
   eq.run();
@@ -36,7 +39,7 @@ TEST_F(WalkerFixture, WalkReportsFault) {
 TEST_F(WalkerFixture, ColdWalkIsSlowerThanWarmWalk) {
   pt.map(5, 0);
   pt.map(6, 1);
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   Cycle first = 0, second = 0;
   w.walk(5, [&](PageId, bool) { first = eq.now(); });
   eq.run();
@@ -50,7 +53,7 @@ TEST_F(WalkerFixture, ColdWalkIsSlowerThanWarmWalk) {
 
 TEST_F(WalkerFixture, ConcurrentWalksToSamePageCoalesce) {
   pt.map(7, 0);
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   int done = 0;
   for (int i = 0; i < 5; ++i)
     w.walk(7, [&](PageId, bool) { ++done; });
@@ -63,7 +66,7 @@ TEST_F(WalkerFixture, ConcurrentWalksToSamePageCoalesce) {
 
 TEST_F(WalkerFixture, ThreadLimitQueuesExcessWalks) {
   cfg.walker_threads = 2;
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   int done = 0;
   for (PageId p = 0; p < 10; ++p)
     w.walk(p * 100000, [&](PageId, bool) { ++done; });  // distinct, PWC-cold
@@ -76,7 +79,7 @@ TEST_F(WalkerFixture, ThreadLimitQueuesExcessWalks) {
 }
 
 TEST_F(WalkerFixture, WalkLatencyIsFourLevelBounded) {
-  PageWalker w(eq, pt, cfg);
+  PageWalker w(eq, pt, cfg, 0, kWalkPages);
   Cycle done_at = 0;
   w.walk(0, [&](PageId, bool) { done_at = eq.now(); });
   eq.run();

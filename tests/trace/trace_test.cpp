@@ -113,6 +113,38 @@ TEST(TraceIo, RejectsAccessCountBeyondFileSize) {
   }
 }
 
+/// Expect `read` to throw a runtime_error that names the footprint cap.
+template <class Read>
+void expect_footprint_cap_error(Read read) {
+  try {
+    (void)read();
+    FAIL() << "footprint beyond the cap accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxTraceFootprintPages)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Page-indexed tables allocate per page of footprint, so a 62-byte file
+// declaring 2^40 pages once reached std::bad_alloc; the header is now
+// rejected by the named cap before any stream is read.
+TEST(TraceIo, RejectsFootprintBeyondCap) {
+  std::ostringstream os;
+  os << header_bytes(1, u64{1} << 40);
+  for (int i = 0; i < 4; ++i) os.put('\0');  // warp index 0
+  os.put('\2');                               // two accesses
+  for (int i = 0; i < 7; ++i) os.put('\0');
+  os << std::string(24, '\0');                // pages 0 and 0
+  std::stringstream ss(os.str());
+  expect_footprint_cap_error([&] { return read_trace(ss); });
+
+  std::stringstream over(header_bytes(0, kMaxTraceFootprintPages + 1));
+  expect_footprint_cap_error([&] { return read_trace(over); });
+  std::stringstream at_cap(header_bytes(0, kMaxTraceFootprintPages));
+  EXPECT_EQ(read_trace(at_cap).footprint_pages, kMaxTraceFootprintPages);
+}
+
 /// A stream buffer that cannot seek, like a pipe's.
 class PipeBuf : public std::streambuf {
  public:
@@ -216,6 +248,19 @@ TEST(TextTrace, RejectsAccessOutsideDeclaredFootprint) {
   std::stringstream ss;
   ss << "# footprint_pages: 5\n0 9\n";
   EXPECT_THROW((void)read_text_trace(ss), std::runtime_error);
+}
+
+TEST(TextTrace, RejectsFootprintBeyondCap) {
+  std::stringstream declared;
+  declared << "# footprint_pages: 1099511627776\n0 1\n";
+  expect_footprint_cap_error([&] { return read_text_trace(declared); });
+  // An inferred footprint (max page + 1) is held to the same cap.
+  std::stringstream inferred;
+  inferred << "0 1\n0 " << kMaxTraceFootprintPages << "\n";
+  expect_footprint_cap_error([&] { return read_text_trace(inferred); });
+  std::stringstream at_cap;
+  at_cap << "0 " << kMaxTraceFootprintPages - 1 << "\n";
+  EXPECT_EQ(read_text_trace(at_cap).footprint_pages, kMaxTraceFootprintPages);
 }
 
 TEST(TextTrace, RoundTripsThroughTextForm) {

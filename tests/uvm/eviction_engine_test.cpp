@@ -25,7 +25,7 @@ namespace {
 struct EngineFixture {
   EventQueue eq;
   ChainSet chains{64};
-  PageTable pt;
+  PageTable pt{4 * kLargePages};  // covers every tenant base used below
   FramePool frames;
   DriverStats stats;
   NoPrefetcher prefetcher;

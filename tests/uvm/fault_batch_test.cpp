@@ -160,7 +160,7 @@ TEST_F(FaultBatchFixture, TrimmedLeadIsRequeuedAndServicedNext) {
 // FaultBatcher unit coverage: absorbed entries are skipped at batch
 // formation, and a requeued lead is drained first.
 TEST(FaultBatcher, SkipsAbsorbedEntriesAndHonoursRequeue) {
-  FaultBatcher b(2);
+  FaultBatcher b(2, /*pages=*/64);
   b.raise(10, [] {}, 0);
   b.raise(11, [] {}, 0);
   b.raise(12, [] {}, 0);
@@ -179,7 +179,7 @@ TEST(FaultBatcher, SkipsAbsorbedEntriesAndHonoursRequeue) {
 }
 
 TEST(FaultBatcher, CoalesceOnlyAttachesToPendingFaults) {
-  FaultBatcher b(1);
+  FaultBatcher b(1, /*pages=*/64);
   EXPECT_FALSE(b.coalesce(5, [] {}));
   b.raise(5, [] {}, 3);
   EXPECT_TRUE(b.coalesce(5, [] {}));

@@ -19,7 +19,6 @@ namespace {
 class LargeFramesTest : public ::testing::Test {
  protected:
   LargeFramesTest() {
-    pt_.reserve(4 * kLargePages);
     chains_.reserve_chunks(4 * kLargeChunks);
   }
 
@@ -38,7 +37,7 @@ class LargeFramesTest : public ::testing::Test {
 
   EventQueue eq_;
   SystemConfig sys_;
-  PageTable pt_;
+  PageTable pt_{4 * kLargePages};
   ChainSet chains_{64};
   DriverStats stats_;
   LargeFrameManager lfm_{eq_, sys_, pt_, chains_, stats_};
