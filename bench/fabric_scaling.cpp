@@ -1,64 +1,56 @@
 // Multi-GPU fabric scaling: one oversubscribed workload sharded over
-// 1/2/4/8 GPUs (docs/fabric.md), across the three link topologies, with
-// eviction spill-to-peer on and off.
+// 1/2/4/8 GPUs (docs/fabric.md), across the three link topologies and both
+// placement maps, plus the engine's wall-clock at 1/2/4 worker threads.
 //
 // Not a paper figure — the paper models a single GPU. This bench extends
-// its oversubscription model to an NVLink fabric: per-device CPPE stacks
-// joined by a link graph, with peer migration, remote mapping and spill.
+// its oversubscription model to an NVLink fabric: per-device CPPE stacks,
+// each chunk pinned to a home device, with faults from other devices
+// forwarded to the home over a link graph.
 //
 // Reported per configuration:
 //   * finish cycles (max over devices) — the scaling headline,
-//   * host PCIe traffic (h2d/d2h pages summed over devices) — what the
-//     fabric is supposed to relieve,
-//   * peer-path counters (remote accesses, peer fetches, spilled pages,
-//     hop-backs) — how the relief happens,
+//   * host PCIe traffic (h2d/d2h pages summed over devices),
+//   * forwarded faults — how much of the work crosses the fabric,
 //   * per-link utilisation on the busiest link — where the fabric saturates.
 //
-// Expected shape: on a thrashing workload spill-to-peer converts host
-// write-backs into NVLink traffic, so summed d2h drops when --spill is on
-// and drops further on topologies with more peer bandwidth (switch > ring).
-// `--smoke` runs the 2-GPU ring subset only, then times the 4-GPU switch
-// preset under --engine seq vs --engine sharded with 4 worker threads and
-// fails if the sharded engine is slower (CI's check.sh gate). The printed
-// speedup folds together the leaner forward-only sharded protocol and any
-// real parallelism — on hosts with fewer than 4 hardware threads the run
-// notes that the workers time-slice (docs/performance.md).
+// `--smoke` is a determinism gate: the 2-GPU ring and 4-GPU switch runs
+// must give identical results at 1 and 4 engine threads. It also prints
+// the 4-GPU switch wall-clock at 4 threads against 1 thread, without gating
+// on it (docs/performance.md).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
+#include <sstream>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "harness/results_io.hpp"
 
 using namespace uvmsim;
 using namespace uvmsim::bench;
 
 namespace {
 
-struct FabricCell {
-  ExperimentSpec spec;
-  RunResult result;
-};
-
-FabricCell run_cell(const std::string& workload, double oversub, u32 gpus,
-                    FabricKind topo, bool spill) {
+ExperimentSpec fabric_spec(const std::string& workload, double oversub,
+                           u32 gpus, FabricKind topo,
+                           PlacementKind placement = PlacementKind::kAffinity,
+                           u32 threads = 1) {
   ExperimentSpec s;
   s.workload = workload;
-  s.label = std::string(to_string(topo)) + (spill ? "+spill" : "");
+  s.label = to_string(topo);
   s.policy = presets::cppe();
   s.oversub = oversub;
   s.fabric.gpus = gpus;
   s.fabric.topology = topo;
-  s.fabric.spill = spill;
-  FabricCell cell{s, run_experiment(s).result};
-  return cell;
+  s.fabric.placement = placement;
+  s.engine.threads = threads;
+  return s;
 }
 
-void print_rows(const std::vector<FabricCell>& cells) {
-  TextTable t({"gpus", "fabric", "spill", "cycles", "h2d", "d2h", "remote",
-               "peer in", "spilled", "hopbacks", "busiest link"});
-  for (const FabricCell& c : cells) {
+void print_rows(const std::vector<LabelledResult>& cells) {
+  TextTable t({"gpus", "fabric", "placement", "cycles", "h2d", "d2h",
+               "forwarded", "busiest link"});
+  for (const LabelledResult& c : cells) {
     const RunResult& r = c.result;
     std::string busiest = "-";
     double peak = -1.0;
@@ -67,33 +59,35 @@ void print_rows(const std::vector<FabricCell>& cells) {
         peak = l.utilisation;
         busiest = l.name + " " + fmt(l.utilisation * 100, 1) + "%";
       }
-    t.add_row({std::to_string(r.gpus), r.fabric,
-               c.spec.fabric.spill ? "on" : "off", std::to_string(r.cycles),
+    const FabricConfig& f = c.spec.fabric;
+    t.add_row({std::to_string(f.gpus), to_string(f.topology),
+               to_string(f.placement), std::to_string(r.cycles),
                std::to_string(r.h2d_pages), std::to_string(r.d2h_pages),
-               std::to_string(r.driver.remote_accesses),
-               std::to_string(r.driver.peer_fetches),
-               std::to_string(r.driver.pages_spilled),
-               std::to_string(r.driver.spill_hopbacks), busiest});
+               std::to_string(r.driver.faults_forwarded), busiest});
   }
   std::cout << t.str() << "\n";
 }
 
-/// Wall-clock of `reps` back-to-back 4-GPU switch runs of NW@0.50 under the
-/// given engine. Repetition damps scheduler noise; the cell results are
-/// deterministic, so only the timing varies between reps.
-double time_engine_ms(EngineKind kind, u32 threads, std::size_t reps = 3) {
+/// The whole result as the JSON writer prints it, minus the two fields that
+/// describe the engine rather than the run: the worker count and its
+/// barrier crossings.
+std::string result_json(LabelledResult r) {
+  r.spec.label.clear();
+  r.result.engine_stats.threads = 0;
+  r.result.engine_stats.barrier_waits = 0;
+  std::ostringstream os;
+  write_json(os, {r});
+  return os.str();
+}
+
+/// Wall-clock of `reps` back-to-back 4-GPU switch runs of NW@0.50 at
+/// `threads` engine workers. Repetition damps scheduler noise; the results
+/// are deterministic, so only the timing varies between reps.
+double time_engine_ms(u32 threads, std::size_t reps = 3) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < reps; ++i) {
-    ExperimentSpec s;
-    s.workload = "NW";
-    s.policy = presets::cppe();
-    s.oversub = 0.5;
-    s.fabric.gpus = 4;
-    s.fabric.topology = FabricKind::kSwitch;
-    s.engine.kind = kind;
-    s.engine.threads = threads;
-    (void)run_experiment(s);
-  }
+  for (std::size_t i = 0; i < reps; ++i)
+    (void)run_experiment(fabric_spec("NW", 0.5, 4, FabricKind::kSwitch,
+                                     PlacementKind::kAffinity, threads));
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -102,106 +96,82 @@ double time_engine_ms(EngineKind kind, u32 threads, std::size_t reps = 3) {
 
 int main(int argc, char** argv) {
   const bool smoke = parse_smoke(
-      argc, argv, "fabric_scaling — multi-GPU topology/placement/spill sweep",
-      "2-GPU ring subset only; gate: spill-on completes and reduces host "
-      "write-backs vs spill-off");
+      argc, argv, "fabric_scaling — multi-GPU topology/placement sweep",
+      "2-GPU ring and 4-GPU switch only; gate: identical results at 1 and 4 "
+      "engine threads");
 
-  print_header("Multi-GPU fabric scaling: topology, placement and spill",
+  print_header("Multi-GPU fabric scaling: topology and placement",
                "NVLink extension (docs/fabric.md) — not a paper figure");
 
   // NW at 50% fits thrashes a single GPU (Fig 4's knee), so the fabric has
-  // host traffic worth relieving.
+  // host traffic to share out.
   const std::string wl = "NW";
   const double oversub = 0.5;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   if (smoke) {
-    // CI gate: 2-GPU ring, spill off vs on, assert spill relieves the host
-    // write-back path. 75% fits thrashes while leaving the peers transient
-    // headroom to absorb spills (at 50% both devices pin their watermark
-    // and spill_target rarely finds room).
-    const FabricCell off = run_cell(wl, 0.75, 2, FabricKind::kRing, false);
-    const FabricCell on = run_cell(wl, 0.75, 2, FabricKind::kRing, true);
-    print_rows({off, on});
-    if (!off.result.completed || !on.result.completed) {
-      std::cout << "SMOKE FAIL: run did not complete\n";
-      return 1;
+    int rc = 0;
+    for (const auto& [gpus, topo] :
+         {std::pair{2u, FabricKind::kRing}, {4u, FabricKind::kSwitch}}) {
+      const LabelledResult t1 = run_experiment(
+          fabric_spec(wl, oversub, gpus, topo, PlacementKind::kAffinity, 1));
+      const LabelledResult t4 = run_experiment(
+          fabric_spec(wl, oversub, gpus, topo, PlacementKind::kAffinity, 4));
+      print_rows({t1});
+      const bool same = result_json(t1) == result_json(t4);
+      std::cout << (same ? "SMOKE OK: " : "SMOKE FAIL: ") << gpus << "-GPU "
+                << to_string(topo) << " results "
+                << (same ? "identical" : "differ") << " at 1 and 4 threads\n";
+      if (!t1.result.completed || !same) rc = 1;
     }
-    if (on.result.d2h_pages >= off.result.d2h_pages) {
-      std::cout << "SMOKE FAIL: spill did not reduce host write-back ("
-                << on.result.d2h_pages << " >= " << off.result.d2h_pages
-                << " d2h pages)\n";
-      return 1;
-    }
-    std::cout << "SMOKE OK: spill cut host write-back "
-              << off.result.d2h_pages << " -> " << on.result.d2h_pages
-              << " d2h pages\n";
-
-    // Engine gate: the 4-thread sharded engine must not lose to the
-    // sequential engine on the 4-GPU switch preset. The speedup combines the
-    // leaner sharded fabric protocol with parallel window execution, so it
-    // holds even when the 4 workers time-slice fewer hardware threads.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const double seq_ms = time_engine_ms(EngineKind::kSequential, 0);
-    const double sh_ms = time_engine_ms(EngineKind::kSharded, 4);
-    std::cout << "engine smoke (4-GPU switch, NW@0.50): seq " << fmt(seq_ms, 1)
-              << " ms, sharded@4 " << fmt(sh_ms, 1) << " ms -> "
-              << fmt(seq_ms / sh_ms, 2) << "x speedup";
+    const double t1_ms = time_engine_ms(1);
+    const double t4_ms = time_engine_ms(4);
+    std::cout << "engine timing (4-GPU switch, NW@0.50, not gated): sharded@1 "
+              << fmt(t1_ms, 1) << " ms, sharded@4 " << fmt(t4_ms, 1)
+              << " ms -> " << fmt(t1_ms / t4_ms, 2) << "x";
     if (hw < 4)
       std::cout << " (" << hw << " hw thread" << (hw == 1 ? "" : "s")
-                << "; workers time-slice, no parallel gain measurable)";
+                << "; workers time-slice)";
     std::cout << "\n";
-    if (sh_ms > seq_ms) {
-      std::cout << "SMOKE FAIL: sharded engine slower than seq ("
-                << fmt(sh_ms, 1) << " > " << fmt(seq_ms, 1) << " ms)\n";
-      return 1;
-    }
-    std::cout << "SMOKE OK: sharded engine not slower than seq\n";
-    return 0;
+    return rc;
   }
 
-  std::cout << "--- GPU-count scaling (ring, spill off/on) ---\n";
-  std::vector<FabricCell> scaling;
+  std::cout << "--- GPU-count scaling (ring) ---\n";
+  std::vector<ExperimentSpec> scaling;
   for (u32 gpus : {1u, 2u, 4u, 8u})
-    for (bool spill : {false, true}) {
-      if (gpus == 1 && spill) continue;  // no peer to spill to
-      scaling.push_back(run_cell(wl, oversub, gpus, FabricKind::kRing, spill));
-    }
-  print_rows(scaling);
+    scaling.push_back(fabric_spec(wl, oversub, gpus, FabricKind::kRing));
+  print_rows(run_sweep(scaling, 1));
 
-  std::cout << "--- moderate pressure (2 GPUs, 75% fits): spill headroom ---\n";
-  print_rows({run_cell(wl, 0.75, 2, FabricKind::kRing, false),
-              run_cell(wl, 0.75, 2, FabricKind::kRing, true)});
-
-  std::cout << "--- topology comparison (4 GPUs) ---\n";
-  std::vector<FabricCell> topo;
+  std::cout << "--- topology and placement (4 GPUs) ---\n";
+  std::vector<ExperimentSpec> topo;
   for (FabricKind k : {FabricKind::kPcie, FabricKind::kRing, FabricKind::kSwitch})
-    for (bool spill : {false, true})
-      topo.push_back(run_cell(wl, oversub, 4, k, spill));
-  print_rows(topo);
+    for (PlacementKind p :
+         {PlacementKind::kAffinity, PlacementKind::kRoundRobin})
+      topo.push_back(fabric_spec(wl, oversub, 4, k, p));
+  print_rows(run_sweep(topo, 1));
 
-  std::cout << "--- engine wall-clock (4 GPUs, switch): seq vs sharded ---\n";
+  std::cout << "--- engine wall-clock (4 GPUs, switch) ---\n";
   {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    TextTable t({"engine", "threads", "wall ms", "vs seq"});
-    const double seq_ms = time_engine_ms(EngineKind::kSequential, 0);
-    t.add_row({"seq", "-", fmt(seq_ms, 1), "1.00x"});
-    for (u32 th : {1u, 2u, 4u}) {
-      const double ms = time_engine_ms(EngineKind::kSharded, th);
-      t.add_row({"sharded", std::to_string(th), fmt(ms, 1),
-                 fmt(seq_ms / ms, 2) + "x"});
+    TextTable t({"threads", "wall ms", "vs sharded@1"});
+    const double base_ms = time_engine_ms(1);
+    t.add_row({"1", fmt(base_ms, 1), "1.00x"});
+    for (u32 th : {2u, 4u}) {
+      const double ms = time_engine_ms(th);
+      t.add_row({std::to_string(th), fmt(ms, 1), fmt(base_ms / ms, 2) + "x"});
     }
     std::cout << t.str();
     if (hw < 4)
       std::cout << "(" << hw << " hw thread" << (hw == 1 ? "" : "s")
-                << ": sharded rows time-slice — protocol difference only, "
-                   "no parallel gain)\n";
+                << ": the threaded rows time-slice, so they show barrier "
+                   "cost, not parallel gain)\n";
     std::cout << "\n";
   }
 
   std::cout
-      << "Reading the table: d2h counts host write-backs — spill-to-peer\n"
-         "retargets them over NVLink, so 'spilled' rises as d2h falls. The\n"
-         "pcie preset has no peer links (spill is a no-op there); switch\n"
-         "beats ring as GPU count grows because every peer is one hop.\n";
+      << "Reading the table: every chunk lives on its home device, so a\n"
+         "fault from any other device is forwarded there and answered with\n"
+         "one remote access. Affinity keeps neighbouring chunks on one home;\n"
+         "round-robin spreads them. The pcie preset routes peer traffic\n"
+         "through the host links; switch links every pair directly.\n";
   return 0;
 }

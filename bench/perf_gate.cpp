@@ -9,24 +9,21 @@
 //   perf_gate --out path.json       same, explicit output path
 //   perf_gate --smoke               run the CPPE@0.50 scenario only and fail
 //                                   (exit 1) if it regressed more than
-//                                   --tolerance % vs the committed baseline
+//                                   --tolerance % or its event count differs
+//                                   vs the committed baseline
 //   perf_gate --baseline path.json  committed numbers for --smoke
 //   perf_gate --tolerance 25        allowed slowdown in percent
 //
 // The committed BENCH_PR5.json is measured on a Release build; scripts/
 // check.sh and CI run `perf_gate --smoke` against it. Event counts are
-// deterministic, so a mismatch there means the simulation itself changed
-// (the timing comparison is then reported but still enforced — a behaviour
-// change that slows the core is exactly what the gate exists to catch).
+// deterministic, so a mismatch there means the simulation itself changed:
+// the gate fails (exit 1) until the baseline is refreshed on purpose.
 //
 // A second scenario family times the sharded engine (docs/performance.md):
-// the 4-GPU NW@0.50 switch fabric under --engine seq and --engine sharded at
-// 1/2/4 worker threads, written to BENCH_PR10.json by the full run. The
-// matching gate is `--sharded-smoke`: seq and sharded@1 are re-measured and
-// compared against the committed numbers (same --tolerance), and sharded@1
-// must not be slower than seq measured in the same process — the one-thread
-// engine runs its windows inline, so any gap there is pure engine overhead,
-// not parallelism.
+// the 4-GPU NW@0.50 switch fabric at 1/2/4 worker threads, written to
+// BENCH_PR10.json by the full run. The matching gate is `--sharded-smoke`:
+// sharded@1 is re-measured and compared against the committed numbers
+// (same --tolerance and the same exact event-count check).
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -92,11 +89,11 @@ Measurement measure(const Scenario& sc) {
   return m;
 }
 
-/// One timed sharded-fabric scenario: the 4-GPU NW@0.50 switch preset,
-/// `reps` back-to-back runs (a single run is a few hundred ms; repetition
-/// keeps the committed numbers stable against scheduler noise).
-Measurement measure_sharded(const std::string& name, EngineKind kind,
-                            u32 threads, std::size_t reps = 3) {
+/// One timed fabric scenario: the 4-GPU NW@0.50 switch preset at `threads`
+/// engine workers, `reps` back-to-back runs (a single run is tens of ms;
+/// repetition keeps the committed numbers stable against scheduler noise).
+Measurement measure_sharded(const std::string& name, u32 threads,
+                            std::size_t reps = 3) {
   Measurement m;
   m.name = name;
   const auto t0 = std::chrono::steady_clock::now();
@@ -108,7 +105,6 @@ Measurement measure_sharded(const std::string& name, EngineKind kind,
     spec.oversub = 0.5;
     spec.fabric.gpus = 4;
     spec.fabric.topology = FabricKind::kSwitch;
-    spec.engine.kind = kind;
     spec.engine.threads = threads;
     const LabelledResult r = run_experiment(spec);
     m.events += r.result.sim.events_executed;
@@ -120,10 +116,9 @@ Measurement measure_sharded(const std::string& name, EngineKind kind,
 }
 
 std::vector<Measurement> measure_sharded_family() {
-  return {measure_sharded("fabric4-seq", EngineKind::kSequential, 0),
-          measure_sharded("fabric4-sharded@1", EngineKind::kSharded, 1),
-          measure_sharded("fabric4-sharded@2", EngineKind::kSharded, 2),
-          measure_sharded("fabric4-sharded@4", EngineKind::kSharded, 4)};
+  return {measure_sharded("fabric4-sharded@1", 1),
+          measure_sharded("fabric4-sharded@2", 2),
+          measure_sharded("fabric4-sharded@4", 4)};
 }
 
 void write_json(std::ostream& os, const std::vector<Measurement>& ms,
@@ -189,12 +184,12 @@ int main(int argc, char** argv) {
     else if (a == "--help" || a == "-h") {
       std::cout << "perf_gate — wall-clock regression gate\n\noptions:\n"
                    "  --smoke\n      run the CPPE@0.50 scenario only and fail "
-                   "if wall time regresses\n      beyond --tolerance vs the "
-                   "committed --baseline numbers\n"
-                   "  --sharded-smoke\n      re-measure the 4-GPU fabric under "
-                   "--engine seq and sharded@1 thread;\n      fail on a "
-                   "regression vs --sharded-baseline or if the one-thread\n"
-                   "      sharded engine is slower than seq\n"
+                   "if wall time regresses\n      beyond --tolerance or the "
+                   "event count differs vs the\n      committed --baseline "
+                   "numbers\n"
+                   "  --sharded-smoke\n      re-measure the 4-GPU fabric at "
+                   "one engine thread; fail on a\n      regression or an "
+                   "event-count change vs --sharded-baseline\n"
                    "  --out <f.json>\n      full mode: write fresh baseline "
                    "numbers here (default BENCH_PR5.json)\n"
                    "  --baseline <f.json>\n      committed numbers --smoke "
@@ -222,83 +217,44 @@ int main(int argc, char** argv) {
                "comparable to a Release-built BENCH_PR5.json\n";
 #endif
 
-  if (sharded_smoke) {
-    // Two cheap scenarios gate the sharded engine: a wall-clock regression
-    // check for each vs the committed BENCH_PR10.json, and an engine-overhead
-    // check — sharded@1 runs its barrier windows inline on the calling
-    // thread, so it must not lose to seq (measured in the same process, which
-    // cancels out host speed differences vs the committed file).
-    int rc = 0;
-    const Measurement seq =
-        measure_sharded("fabric4-seq", EngineKind::kSequential, 0);
-    const Measurement sh1 =
-        measure_sharded("fabric4-sharded@1", EngineKind::kSharded, 1);
-    for (const Measurement& m : {seq, sh1}) {
-      double base_ms = 0;
-      u64 base_events = 0;
-      if (!lookup_baseline(sharded_baseline_path, m.name, base_ms,
-                           base_events)) {
-        std::cerr << "perf_gate: cannot read scenario '" << m.name << "' from "
-                  << sharded_baseline_path << "\n";
-        return 2;
-      }
-      const double limit_ms = base_ms * (1.0 + tolerance_pct / 100.0);
-      std::cout << "perf_gate --sharded-smoke: " << m.name << " "
-                << fmt(m.wall_ms, 1) << " ms vs committed " << fmt(base_ms, 1)
-                << " ms (limit " << fmt(limit_ms, 1) << " ms, +"
-                << fmt(tolerance_pct, 0) << "%)\n";
-      if (m.events != base_events)
-        std::cout << "perf_gate: note — events " << m.events
-                  << " != committed " << base_events << " (simulated "
-                  << "behaviour changed; refresh " << sharded_baseline_path
-                  << " by running perf_gate without --smoke)\n";
-      if (m.wall_ms > limit_ms) {
-        std::cout << "perf_gate: FAIL — " << m.name
-                  << " regression beyond tolerance\n";
-        rc = 1;
-      }
+  if (sharded_smoke || smoke) {
+    // One cheap scenario per gate: the fabric gate times the one-thread
+    // engine (its windows run inline, so the number is engine plus model
+    // cost with no scheduling noise); the Fig 8 gate times CPPE@0.50, which
+    // exercises the full hot path (faults, evictions, prefetch, pattern
+    // buffer) across all 23 workloads.
+    const Measurement m = sharded_smoke
+                              ? measure_sharded("fabric4-sharded@1", 1)
+                              : measure(scenarios().back());
+    const std::string& path =
+        sharded_smoke ? sharded_baseline_path : baseline_path;
+    double base_ms = 0;
+    u64 base_events = 0;
+    if (!lookup_baseline(path, m.name, base_ms, base_events)) {
+      std::cerr << "perf_gate: cannot read scenario '" << m.name << "' from "
+                << path << "\n";
+      return 2;
     }
-    const double sh1_limit = seq.wall_ms * (1.0 + tolerance_pct / 100.0);
-    std::cout << "perf_gate --sharded-smoke: sharded@1 " << fmt(sh1.wall_ms, 1)
-              << " ms vs seq " << fmt(seq.wall_ms, 1) << " ms (limit "
-              << fmt(sh1_limit, 1) << " ms)\n";
-    if (sh1.wall_ms > sh1_limit) {
-      std::cout << "perf_gate: FAIL — one-thread sharded engine slower than "
-                   "seq beyond tolerance\n";
+    const double limit_ms = base_ms * (1.0 + tolerance_pct / 100.0);
+    std::cout << "perf_gate " << (sharded_smoke ? "--sharded-smoke" : "--smoke")
+              << ": " << m.name << " " << fmt(m.wall_ms, 1)
+              << " ms vs committed " << fmt(base_ms, 1) << " ms (limit "
+              << fmt(limit_ms, 1) << " ms, +" << fmt(tolerance_pct, 0)
+              << "%)\n";
+    int rc = 0;
+    if (m.events != base_events) {
+      std::cout << "perf_gate: FAIL — events " << m.events << " != committed "
+                << base_events << " (simulated behaviour changed; refresh "
+                << path << " by running perf_gate without --smoke)\n";
+      rc = 1;
+    }
+    if (m.wall_ms > limit_ms) {
+      std::cout << "perf_gate: FAIL — " << m.name
+                << " regression beyond tolerance\n";
       rc = 1;
     }
     if (rc == 0) std::cout << "perf_gate: OK\n";
     return rc;
-  }
-
-  if (smoke) {
-    // One scenario keeps the gate cheap enough for every check.sh run while
-    // still exercising the full hot path (faults, evictions, prefetch,
-    // pattern buffer) across all 23 workloads.
-    const Scenario& sc = scenarios().back();  // CPPE@0.50
-    double base_ms = 0;
-    u64 base_events = 0;
-    if (!lookup_baseline(baseline_path, sc.name, base_ms, base_events)) {
-      std::cerr << "perf_gate: cannot read scenario '" << sc.name << "' from "
-                << baseline_path << "\n";
-      return 2;
-    }
-    const Measurement m = measure(sc);
-    const double limit_ms = base_ms * (1.0 + tolerance_pct / 100.0);
-    std::cout << "perf_gate --smoke: " << sc.name << " " << fmt(m.wall_ms, 1)
-              << " ms vs committed " << fmt(base_ms, 1) << " ms (limit "
-              << fmt(limit_ms, 1) << " ms, +" << fmt(tolerance_pct, 0)
-              << "%)\n";
-    if (m.events != base_events)
-      std::cout << "perf_gate: note — events " << m.events << " != committed "
-                << base_events << " (simulated behaviour changed; refresh "
-                << "BENCH_PR5.json by running perf_gate without --smoke)\n";
-    if (m.wall_ms > limit_ms) {
-      std::cout << "perf_gate: FAIL — regression beyond tolerance\n";
-      return 1;
-    }
-    std::cout << "perf_gate: OK\n";
-    return 0;
   }
 
   std::vector<Measurement> ms;
@@ -321,13 +277,14 @@ int main(int argc, char** argv) {
   write_json(os, ms, "fig8");
   std::cout << "wrote " << out_path << "\n";
 
-  // Sharded-engine family: the same fabric run under both engines and three
-  // thread counts. On a single-core host the 2/4-thread rows time-slice one
-  // CPU and so measure barrier overhead, not scaling.
+  // Sharded-engine family: the same fabric run at three thread counts, each
+  // against sharded@1 (the answer is identical at every count). On a
+  // single-core host the 2/4-thread rows time-slice one CPU and so measure
+  // barrier overhead, not scaling.
   std::cout << "\n--- sharded engine (4-GPU NW@0.50 switch fabric, "
             << std::thread::hardware_concurrency() << " hw threads) ---\n";
   const std::vector<Measurement> sm = measure_sharded_family();
-  TextTable st({"scenario", "runs", "wall ms", "events", "vs seq"});
+  TextTable st({"scenario", "runs", "wall ms", "events", "vs sharded@1"});
   for (const Measurement& m : sm)
     st.add_row({m.name, std::to_string(m.runs), fmt(m.wall_ms, 1),
                 std::to_string(m.events),

@@ -41,33 +41,39 @@ cmp "$TRACE_DIR/f_a.jsonl" "$TRACE_DIR/f_b.jsonl"
 echo "fabric trace OK: $(wc -l < "$TRACE_DIR/f_a.jsonl") events, byte-identical rerun"
 
 echo
-echo "== sharded engine determinism (reruns and thread counts byte-identical) =="
-"$BUILD"/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
-  --engine sharded --engine-threads 1 --trace-out "$TRACE_DIR/sh_t1.jsonl" \
-  > "$TRACE_DIR/sh_t1.txt"
-"$BUILD"/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
-  --engine sharded --engine-threads 4 --trace-out "$TRACE_DIR/sh_t4.jsonl" \
-  > "$TRACE_DIR/sh_t4.txt"
-"$BUILD"/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
-  --engine sharded --engine-threads 4 --trace-out "$TRACE_DIR/sh_t4b.jsonl" \
-  > "$TRACE_DIR/sh_t4b.txt"
-cmp "$TRACE_DIR/sh_t1.jsonl" "$TRACE_DIR/sh_t4.jsonl"
-cmp "$TRACE_DIR/sh_t4.jsonl" "$TRACE_DIR/sh_t4b.jsonl"
-cmp "$TRACE_DIR/sh_t1.txt" "$TRACE_DIR/sh_t4.txt"
-echo "sharded fabric OK: $(wc -l < "$TRACE_DIR/sh_t1.jsonl") events, byte-identical across 1/4 threads and rerun"
+echo "== engine determinism (reruns and thread counts byte-identical) =="
+# Fabric: 1, 2 and 4 threads plus a 4-thread rerun; stdout and trace alike.
+for t in 1 2 4 4b; do
+  "$BUILD"/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
+    --engine-threads "${t%b}" --trace-out "$TRACE_DIR/sh_t$t.jsonl" \
+    > "$TRACE_DIR/sh_t$t.txt"
+done
+for t in 2 4 4b; do
+  cmp "$TRACE_DIR/sh_t1.jsonl" "$TRACE_DIR/sh_t$t.jsonl"
+  cmp "$TRACE_DIR/sh_t1.txt" "$TRACE_DIR/sh_t$t.txt"
+done
+echo "fabric OK: $(wc -l < "$TRACE_DIR/sh_t1.jsonl") events, byte-identical across 1/2/4 threads and rerun"
 
-"$BUILD"/tools/uvmsim --fleet --jobs 100 --gpus 4 --arrival-rate 50 --oversub 0.4 \
-  --engine sharded --engine-threads 1 --trace-out "$TRACE_DIR/shf_t1.jsonl" >/dev/null
-"$BUILD"/tools/uvmsim --fleet --jobs 100 --gpus 4 --arrival-rate 50 --oversub 0.4 \
-  --engine sharded --engine-threads 5 --trace-out "$TRACE_DIR/shf_t5.jsonl" >/dev/null
-cmp "$TRACE_DIR/shf_t1.jsonl" "$TRACE_DIR/shf_t5.jsonl"
+for t in 1 2 4; do
+  "$BUILD"/tools/uvmsim --fleet --jobs 100 --gpus 4 --arrival-rate 50 --oversub 0.4 \
+    --engine-threads "$t" --trace-out "$TRACE_DIR/shf_t$t.jsonl" \
+    > "$TRACE_DIR/shf_t$t.txt"
+done
+for t in 2 4; do
+  cmp "$TRACE_DIR/shf_t1.jsonl" "$TRACE_DIR/shf_t$t.jsonl"
+  cmp "$TRACE_DIR/shf_t1.txt" "$TRACE_DIR/shf_t$t.txt"
+done
 grep -q '"ev":"job_completed"' "$TRACE_DIR/shf_t1.jsonl"
-echo "sharded fleet OK: $(wc -l < "$TRACE_DIR/shf_t1.jsonl") events, byte-identical across 1/5 threads"
+echo "fleet OK: $(wc -l < "$TRACE_DIR/shf_t1.jsonl") events, byte-identical across 1/2/4 threads"
 
 echo
 echo "== engine and mode flag validation (bad combinations must exit 2) =="
-for bad in "--engine bogus" "--engine sharded --tenants NW,BFS" \
-           "--engine sharded --gpus 2 --spill" "--engine-threads -1" \
+# The removed multi-device model's flags (--engine, --spill,
+# --remote-threshold, --placement first-touch) exit 2 like any bad flag.
+for bad in "--engine bogus" "--engine sharded" "--engine seq" "--spill" \
+           "--remote-threshold 4" "--gpus 2 --placement first-touch" \
+           "--gpus 2 --spill" "--engine-threads -1" \
+           "--engine-threads 2 --tenants NW,BFS" \
            "--interval-metrics $TRACE_DIR/iv_fab.csv --gpus 2" \
            "--interval-metrics $TRACE_DIR/iv_ten.csv --tenants NW,BFS" \
            "--trace $TRACE_DIR/nw.trc --gpus 2" \
@@ -141,7 +147,7 @@ fi
 echo "hostile arrival trace OK"
 
 echo
-echo "== fabric spill smoke (spill-to-peer must cut host write-back) =="
+echo "== fabric smoke (identical results at 1 and 4 engine threads) =="
 "$BUILD"/bench/fabric_scaling --smoke
 
 echo

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer build and test run for the sharded parallel engine
-# (docs/performance.md). The sequential engine is single-threaded by
-# construction, so TSan's value is concentrated on the conservative-barrier
-# worker pool: the engine unit tests, the sharded determinism suite, and
+# (docs/performance.md). A one-thread engine runs its windows inline, so
+# TSan's value is concentrated on the conservative-barrier worker pool: the
+# engine unit tests, the sharded determinism suite, and
 # traced multi-threaded fabric/fleet CLI runs. The filtered ctest pass keeps
 # the job fast enough to run on every push — TSan slows execution ~5-15x,
 # and the rest of the suite never spawns a thread (run_sweep's pool is
@@ -26,13 +26,13 @@ TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
 
 build-tsan/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
-  --engine sharded --engine-threads 4 --sim-stats \
+  --engine-threads 4 --sim-stats \
   --trace-out "$TRACE_DIR/fab4.jsonl" >/dev/null
 grep -q '"dev":' "$TRACE_DIR/fab4.jsonl"
 echo "tsan sharded fabric run OK: $(wc -l < "$TRACE_DIR/fab4.jsonl") events"
 
 build-tsan/tools/uvmsim --fleet --jobs 120 --gpus 4 --arrival-rate 50 \
-  --oversub 0.4 --engine sharded --engine-threads 5 \
+  --oversub 0.4 --engine-threads 5 \
   --trace-out "$TRACE_DIR/fleet.jsonl" >/dev/null
 grep -q '"ev":"job_completed"' "$TRACE_DIR/fleet.jsonl"
 echo "tsan sharded fleet run OK: $(wc -l < "$TRACE_DIR/fleet.jsonl") events"
@@ -42,7 +42,7 @@ echo "tsan sharded fleet run OK: $(wc -l < "$TRACE_DIR/fleet.jsonl") events"
 # uphold too — a race that flips message order would show up here even if
 # TSan itself missed it).
 build-tsan/tools/uvmsim --workload NW --oversub 0.5 --gpus 4 --fabric ring \
-  --engine sharded --engine-threads 2 \
+  --engine-threads 2 \
   --trace-out "$TRACE_DIR/fab4_t2.jsonl" >/dev/null
 cmp "$TRACE_DIR/fab4.jsonl" "$TRACE_DIR/fab4_t2.jsonl"
 echo "tsan sharded determinism OK: 4-thread and 2-thread traces byte-identical"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Standalone UBSan build and test run: undefined behaviour is fatal
 # (-fno-sanitize-recover), unlike the combined ASan job where UBSan only
-# warns. Finishes with a 2-GPU fabric smoke, whose peer-path arithmetic
+# warns. Finishes with a 2-GPU fabric smoke, whose forwarding arithmetic
 # (fixed-point link rates, hop accounting) is exactly the kind of code UB
 # creeps into.
 set -euo pipefail
@@ -14,7 +14,7 @@ cmake --build build-ubsan
 ctest --test-dir build-ubsan -j"$(nproc)" --output-on-failure
 
 build-ubsan/tools/uvmsim --workload NW --oversub 0.5 \
-  --gpus 2 --fabric ring --spill >/dev/null
+  --gpus 2 --fabric ring >/dev/null
 echo "ubsan fabric smoke OK"
 
 # Traced Fig 8 workload: drives the full fault/evict/prefetch hot path (heap

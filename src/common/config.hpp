@@ -17,9 +17,9 @@ enum class FabricKind : u8 {
   kSwitch,  ///< fully connected NVSwitch: every ordered pair linked
 };
 
-/// Where a faulted page is homed when it is first brought onto the fabric.
+/// Which device is a chunk's home on the fabric: the only device that ever
+/// maps its pages (fixed for the whole run; src/fabric/sharded_fabric.hpp).
 enum class PlacementKind : u8 {
-  kFirstTouch,  ///< home = first device to fault any page of the chunk
   kRoundRobin,  ///< home = chunk id modulo device count
   kAffinity,    ///< contiguous chunk ranges, one slice per device
 };
@@ -31,22 +31,22 @@ enum class FaultBackendKind : u8 {
   kGpuDriven,   ///< GPUVM-style per-SM queues + GPU-resident handler
 };
 
-/// Which simulation engine advances the event queues of a multi-device run
-/// (src/sim/sharded_engine.hpp, docs/performance.md).
+/// The one multi-device engine: per-device shards under conservative
+/// barrier windows (src/sim/sharded_engine.hpp, docs/performance.md).
+/// Nothing branches on it; it stays so that aggregate initialisers written
+/// as `EngineConfig{EngineKind::kSharded, threads}` keep compiling.
 enum class EngineKind : u8 {
-  kSequential,  ///< one EventQueue drives every device (the classic engine)
-  kSharded,     ///< per-device shards under conservative barrier windows
+  kSharded,
 };
 
-/// Simulation-engine selection (--engine / --engine-threads). Orthogonal to
-/// the simulated system: the sequential default leaves every artefact
-/// byte-identical; the sharded engine trades the single global event order
-/// for near-linear multi-core scaling on fabric and fleet runs.
+/// Simulation-engine settings (--engine-threads) for fabric and fleet runs.
+/// The thread count never changes the simulated answer: runs are
+/// byte-identical at any count (docs/performance.md).
 struct EngineConfig {
-  EngineKind kind = EngineKind::kSequential;
-  /// Worker threads for the sharded engine: 0 = hardware_concurrency,
-  /// always capped at the shard (device) count.
-  u32 threads = 0;
+  EngineKind kind = EngineKind::kSharded;
+  /// Worker threads: 0 = hardware_concurrency, always capped at the shard
+  /// count. One thread runs the barrier windows inline.
+  u32 threads = 1;
 };
 
 /// Multi-GPU fabric parameters (tentpole of src/fabric; gpus == 1 keeps the
@@ -54,14 +54,7 @@ struct EngineConfig {
 struct FabricConfig {
   u32 gpus = 1;                       ///< devices sharing the fabric
   FabricKind topology = FabricKind::kRing;
-  PlacementKind placement = PlacementKind::kFirstTouch;
-  /// Remote accesses a page absorbs before it migrates to the accessor
-  /// (remote map over NVLink below the threshold, migrate at it);
-  /// 0 = always migrate (remote access disabled).
-  u32 remote_threshold = 4;
-  /// Evictions spill to a peer with free frames over NVLink instead of
-  /// writing back to host over PCIe (second-chance hop back on re-fault).
-  bool spill = false;
+  PlacementKind placement = PlacementKind::kAffinity;
   double nvlink_bw_gbps = 25.0;       ///< per peer link, per direction
   double nvlink_latency_us = 0.5;     ///< per-hop remote-access round trip
 };
@@ -301,26 +294,10 @@ struct PolicyConfig {
 
 [[nodiscard]] constexpr const char* to_string(PlacementKind k) noexcept {
   switch (k) {
-    case PlacementKind::kFirstTouch: return "first-touch";
     case PlacementKind::kRoundRobin: return "round-robin";
     case PlacementKind::kAffinity: return "affinity";
   }
   return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(EngineKind k) noexcept {
-  switch (k) {
-    case EngineKind::kSequential: return "seq";
-    case EngineKind::kSharded: return "sharded";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline std::optional<EngineKind> parse_engine_kind(
-    std::string_view s) noexcept {
-  if (s == "seq" || s == "sequential") return EngineKind::kSequential;
-  if (s == "sharded" || s == "parallel") return EngineKind::kSharded;
-  return std::nullopt;
 }
 
 [[nodiscard]] inline std::optional<FabricKind> parse_fabric_kind(
@@ -341,7 +318,6 @@ struct PolicyConfig {
 
 [[nodiscard]] inline std::optional<PlacementKind> parse_placement_kind(
     std::string_view s) noexcept {
-  if (s == "first-touch") return PlacementKind::kFirstTouch;
   if (s == "round-robin") return PlacementKind::kRoundRobin;
   if (s == "affinity") return PlacementKind::kAffinity;
   return std::nullopt;

@@ -99,8 +99,9 @@ struct FleetRunResult {
 /// by every system's run(); surfaced in sweep JSON, `uvmsim --sim-stats`
 /// and bench/tab5_overhead. See docs/performance.md.
 /// Sharded-engine counters (sim/sharded_engine.hpp): filled only when a run
-/// used --engine sharded; all-defaults (and omitted from JSON/report) under
-/// the sequential engine, so existing artefacts stay byte-identical.
+/// used more than one shard (multi-GPU fabric, fleet); all-defaults (and
+/// omitted from JSON/report) for single-queue runs, so single-GPU and
+/// multi-tenant artefacts stay byte-identical.
 struct EngineRunStats {
   bool sharded = false;
   u32 shards = 0;            ///< shard count (devices, +1 control for fleet)
@@ -210,8 +211,8 @@ struct RunResult {
   /// Simulator-overhead counters (cost of simulating, not simulated cost).
   SimPerfCounters sim;
 
-  /// Sharded-engine counters; all-defaults under --engine seq (the JSON and
-  /// report writers then omit the block entirely).
+  /// Sharded-engine counters; all-defaults for single-queue runs (the JSON
+  /// and report writers then omit the block entirely).
   EngineRunStats engine_stats;
 
   [[nodiscard]] double speedup_vs(const RunResult& baseline) const {

@@ -3,23 +3,19 @@
 //
 // N full Gpu instances, each with its OWN UvmDriver (frame pool, chunk
 // chains, prefetcher, PCIe link pair), run over a ShardedEngine
-// (sim/sharded_engine.hpp). Under the default --engine seq the engine holds
-// ONE shard whose run() is a verbatim EventQueue::run — byte-identical to
-// the historical single-queue build — and the synchronous FabricCoordinator
-// joins the drivers (fault routing, spill-to-peer, link timing;
-// docs/fabric.md). Under --engine sharded each device owns a shard (its own
-// EventQueue) advanced in parallel, and the message-passing ShardedFabric
-// replaces the coordinator (forward-only home-pinned protocol;
-// docs/performance.md).
+// (sim/sharded_engine.hpp): each device owns a shard (its own EventQueue),
+// and the message-passing ShardedFabric joins the drivers (home-pinned
+// fault forwarding, link timing, remote shootdowns; docs/fabric.md). The
+// engine's thread count never changes the answer.
 //
 // Each device records through its own FlightRecorder stamped with its
-// device id. Sequential runs share the caller's sinks directly; sharded
-// runs stage per-shard buffers and merge them into the caller's sinks after
-// the run, in (cycle, shard) order — deterministic across thread counts.
+// device id. Shards stage per-device buffers and merge them into the
+// caller's sinks after the run, in (cycle, shard) order — deterministic
+// across thread counts.
 //
-// A 1-GPU FabricSystem builds no fabric and is cycle-for-cycle identical to
-// UvmSystem (tests/fabric/fabric_system_test.cpp holds this); --engine
-// sharded needs >= 2 GPUs and falls back to the sequential single shard.
+// A 1-GPU FabricSystem builds no fabric: its engine holds one shard whose
+// run() is a verbatim EventQueue::run, so it is cycle-for-cycle identical
+// to UvmSystem (tests/fabric/fabric_system_test.cpp holds this).
 #pragma once
 
 #include <limits>
@@ -29,7 +25,6 @@
 #include "common/config.hpp"
 #include "core/device_stack.hpp"
 #include "core/uvm_system.hpp"
-#include "fabric/fabric.hpp"
 #include "fabric/sharded_fabric.hpp"
 #include "fabric/sharded_workload.hpp"
 #include "gpu/gpu.hpp"
@@ -59,7 +54,7 @@ class FabricSystem {
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  /// Attach a trace sink / event mask to every device's recorder. Sharded
+  /// Attach a trace sink / event mask to every device's recorder. Multi-GPU
   /// runs deliver the merged, deterministic stream to the sink after run().
   void add_sink(TraceSink* sink);
   void set_event_mask(u64 mask);
@@ -69,15 +64,10 @@ class FabricSystem {
   }
   [[nodiscard]] UvmDriver& driver(u32 d) noexcept { return *stacks_[d].driver; }
   [[nodiscard]] Gpu& gpu(u32 d) noexcept { return *gpus_[d]; }
-  /// Shard 0's queue — THE queue under --engine seq.
-  [[nodiscard]] EventQueue& queue() noexcept { return engine_->queue(0); }
   [[nodiscard]] ShardedEngine& engine() noexcept { return *engine_; }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_ != nullptr; }
-  /// Null for 1-GPU and sharded systems (no coordinator is built).
-  [[nodiscard]] FabricCoordinator* fabric() noexcept { return coord_.get(); }
-  /// Null outside --engine sharded.
+  /// Null for 1-GPU systems (no fabric is built).
   [[nodiscard]] ShardedFabric* sharded_fabric() noexcept {
-    return sharded_.get();
+    return fabric_.get();
   }
 
  private:
@@ -88,12 +78,11 @@ class FabricSystem {
   double oversub_;
 
   std::unique_ptr<ShardedEngine> engine_;
-  std::unique_ptr<FabricCoordinator> coord_;
-  std::unique_ptr<ShardedFabric> sharded_;
+  std::unique_ptr<ShardedFabric> fabric_;
   std::vector<DeviceStack> stacks_;  ///< one per device
   std::vector<std::unique_ptr<ShardedWorkload>> shards_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
-  ShardTraceStage trace_;  ///< staged per device under --engine sharded
+  ShardTraceStage trace_;  ///< staged per device when gpus > 1
 };
 
 }  // namespace uvmsim

@@ -1,27 +1,20 @@
-// ShardedFabric: the multi-GPU fabric under the sharded engine — the
-// message-passing sibling of FabricCoordinator (docs/performance.md).
+// ShardedFabric: the multi-GPU fabric — the one multi-device model
+// (docs/fabric.md). Its FabricPorts join the per-device drivers.
 //
-// The synchronous coordinator mutates cross-device state inside the calling
-// driver's event, which a parallel engine cannot allow. The sharded fabric
-// replaces that protocol with a *forward-only, home-pinned* one whose every
-// cross-device interaction is a timestamped ShardMessage:
+// Every cross-device interaction is a timestamped ShardMessage, so the
+// shards can run on any number of threads (docs/performance.md). The
+// protocol is *forward-only and home-pinned*:
 //
-//   * every chunk has a static home device (the placement map, fixed at
-//     construction — first-touch maps to affinity, see below);
+//   * every chunk has a static home device (the --placement map, fixed at
+//     construction: round-robin or affinity slices);
 //   * a fault on a page homed elsewhere is forwarded to the home device as
 //     a message (one request hop), serviced there by the home's own driver/
-//     policy/prefetcher, and answered with a reply message timed like the
-//     coordinator's remote access (latency hops + one line of occupancy);
-//   * pages never migrate between devices (no peer fetch, no spill), so the
-//     page directory degenerates to the static home map — shards share only
-//     immutable state plus messages;
+//     policy/prefetcher, and answered with a reply message timed as one
+//     remote access (latency hops + one line of occupancy);
+//   * pages never migrate between devices, so the page directory is the
+//     static home map — shards share only immutable state plus messages;
 //   * evicting a remotely-accessed page broadcasts shootdown messages to
 //     the devices that actually touched it (physical hop latency).
-//
-// First-touch placement needs a lazily-written shared home directory, which
-// is exactly the cross-shard mutation this protocol removes — the sharded
-// engine resolves --placement first-touch to the affinity map (contiguous
-// chunk slices), and documents the substitution.
 //
 // Timing: lookahead = one NVLink/PCIe hop (every message crosses >= 1 hop).
 // Each device charges link occupancy on a PRIVATE copy of the topology —
@@ -66,17 +59,12 @@ class ShardedFabric {
     return *topos_[dev];
   }
   [[nodiscard]] u32 home_of(ChunkId c) const noexcept { return home_[c]; }
-  [[nodiscard]] Cycle hop_latency_cycles() const noexcept {
-    return hop_latency_cycles_;
-  }
 
  private:
   class Port;
 
   ShardedEngine& engine_;
-  FabricConfig cfg_;
   Cycle hop_latency_cycles_;
-  u32 lines_per_page_;
   std::vector<UvmDriver*> drivers_;
   std::vector<std::function<void(PageId)>> invalidators_;
   std::vector<std::unique_ptr<FabricTopology>> topos_;

@@ -76,7 +76,7 @@ class FabricTopology {
   }
 
   [[nodiscard]] FabricKind kind() const noexcept { return kind_; }
-  /// Peer-to-peer NVLink paths exist (remote access / spill are possible).
+  /// Peer-to-peer NVLink paths exist (pcie bounces peer traffic via host).
   [[nodiscard]] bool peer_capable() const noexcept {
     return kind_ != FabricKind::kPcie;
   }

@@ -44,15 +44,12 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
                static_cast<u64>(std::ceil(
                    fleet_.oversub * static_cast<double>(fleet_.arena_pages)))));
 
-  // Sharded: shard 0 is the control plane, shard 1+d is device d; the
+  // Shard 0 is the control plane, shard 1+d is device d; the
   // admission/completion round trip crosses shards at the fault-service
   // latency, which is therefore the conservative lookahead.
-  sharded_ = engine.kind == EngineKind::kSharded;
-  lookahead_ =
-      sharded_ ? std::max<Cycle>(1, sys_cfg_.fault_latency_cycles()) : 1;
-  engine_ = std::make_unique<ShardedEngine>(
-      sharded_ ? 1 + fleet_.devices : 1, lookahead_,
-      sharded_ ? engine.threads : 1);
+  lookahead_ = std::max<Cycle>(1, sys_cfg_.fault_latency_cycles());
+  engine_ = std::make_unique<ShardedEngine>(1 + fleet_.devices, lookahead_,
+                                            engine.threads);
   job_recorder_ = std::make_unique<FlightRecorder>(engine_->queue(0));
 
   mix_ = make_fleet_job_mix();
@@ -80,15 +77,13 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
         {&dev->table, TenantMode::kShared, EvictionScope::kGlobal},
         fleet_.devices > 1 ? d : kNoTraceDevice);
     devices_.push_back(std::move(dev));
-    if (sharded_) {
-      shadow_tables_.push_back(std::make_unique<TenantTable>());
-      shadow_tables_.back()->enable_arena(fleet_.arena_pages);
-    }
+    shadow_tables_.push_back(std::make_unique<TenantTable>());
+    shadow_tables_.back()->enable_arena(fleet_.arena_pages);
   }
 
   std::vector<FlightRecorder*> recorders{job_recorder_.get()};
   for (const auto& d : devices_) recorders.push_back(d->stack.recorder.get());
-  trace_.init(std::move(recorders), sharded_);
+  trace_.init(std::move(recorders), /*staged=*/true);
 
   jobs_.reserve(fleet_.jobs);
   running_.resize(fleet_.jobs);
@@ -117,9 +112,7 @@ DeviceLoad FleetSystem::load_of(u32 device, const Job& j) const {
   l.promised_frames = d.promised_frames;
   l.active_jobs = d.active_jobs;
   l.job_slots = job_slots_;
-  l.namespace_fits = sharded_
-                         ? shadow_tables_[device]->can_fit(j.footprint_pages)
-                         : d.table.can_fit(j.footprint_pages);
+  l.namespace_fits = shadow_tables_[device]->can_fit(j.footprint_pages);
   l.same_pattern_jobs = d.pattern_active[static_cast<std::size_t>(j.pattern)];
   return l;
 }
@@ -179,8 +172,8 @@ bool FleetSystem::try_admit(u64 id) {
 void FleetSystem::admit(u64 id, u32 device) {
   Job& j = jobs_[id];
   Device& d = *devices_[device];
-  const TenantId t = view(device).attach(mix_[j.tpl]->abbr(),
-                                         j.footprint_pages);
+  TenantTable& shadow = *shadow_tables_[device];
+  const TenantId t = shadow.attach(mix_[j.tpl]->abbr(), j.footprint_pages);
   assert(t != kNoTenant && "admissible() guaranteed a namespace region");
   j.tenant = t;
   j.device = device;
@@ -190,33 +183,15 @@ void FleetSystem::admit(u64 id, u32 device) {
   ++d.active_jobs;
   ++d.pattern_active[static_cast<std::size_t>(j.pattern)];
 
-  if (sharded_) {
-    // Control half only: the device shard replays the attach at the base
-    // the shadow table chose, one admission round trip later. The shadow
-    // attaches now and detaches at finish + lookahead, so its occupied set
-    // is a superset of the device's — the region is guaranteed free there.
-    const PageId base = view(device).info(t).base;
-    job_recorder_->record(EventType::kJobAdmitted, id, device,
-                          j.admit - j.arrival);
-    engine_->post(0, 1 + device, j.admit + lookahead_,
-                  [this, id, device, base] { launch_job(id, device, base); });
-    return;
-  }
-
-  Running& r = running_[id];
-  r.device = device;
-  r.workload =
-      std::make_unique<OffsetWorkload>(*mix_[j.tpl], d.table.info(t).base);
-  r.gpu = std::make_unique<Gpu>(queue(), job_cfg_, *d.stack.driver, *r.workload,
-                                job_seed(id));
-  // The hook fires inside the last warp's event — defer teardown one event
-  // so the Gpu never destroys itself re-entrantly.
-  r.gpu->set_on_finished([this, id] {
-    queue().schedule_at(queue().now(), [this, id] { complete(id); });
-  });
+  // Control half only: the device shard replays the attach at the base the
+  // shadow table chose, one admission round trip later. The shadow attaches
+  // now and detaches at finish + lookahead, so its occupied set is a
+  // superset of the device's — the region is guaranteed free there.
+  const PageId base = shadow.info(t).base;
   job_recorder_->record(EventType::kJobAdmitted, id, device,
                         j.admit - j.arrival);
-  r.gpu->launch();
+  engine_->post(0, 1 + device, j.admit + lookahead_,
+                [this, id, device, base] { launch_job(id, device, base); });
 }
 
 void FleetSystem::launch_job(u64 id, u32 device, PageId base) {
@@ -250,33 +225,12 @@ void FleetSystem::reject(u64 id, JobRejectReason reason) {
                         queue_.size());
 }
 
-void FleetSystem::complete(u64 id) {
-  Job& j = jobs_[id];
-  Device& d = *devices_[j.device];
-  Running& r = running_[id];
-  j.finish = r.gpu->finish_cycle();
-  d.gpu_total += r.gpu->stats();
-  // Teardown order matters: the Gpu unregisters its shootdown handlers
-  // first, then the driver surrenders every resident page (used_frames
-  // returns to zero), and only then can the arena slot detach.
-  r.gpu.reset();
-  d.stack.driver->detach_tenant(j.tenant);
-  d.table.detach(j.tenant);
-  r.workload.reset();
-  d.promised_frames -= promise_of(j);
-  --d.active_jobs;
-  --d.pattern_active[static_cast<std::size_t>(j.pattern)];
-  j.state = JobState::kCompleted;
-  ++completed_;
-  completion_order_.push_back(id);
-  job_recorder_->record(EventType::kJobCompleted, id, j.device,
-                        j.finish - j.admit);
-  drain_queue();
-}
-
 void FleetSystem::device_complete(u64 id) {
   // Device-shard half: full local teardown (frames, arena region and slot
   // return to this device), then tell the control shard the finish cycle.
+  // Teardown order matters: the Gpu unregisters its shootdown handlers
+  // first, then the driver surrenders every resident page (used_frames
+  // returns to zero), and only then can the arena slot detach.
   Running& r = running_[id];
   const u32 device = r.device;
   Device& d = *devices_[device];
@@ -297,7 +251,7 @@ void FleetSystem::control_complete(u64 id, Cycle finish) {
   Job& j = jobs_[id];
   Device& d = *devices_[j.device];
   j.finish = finish;
-  view(j.device).detach(j.tenant);
+  shadow_tables_[j.device]->detach(j.tenant);
   d.promised_frames -= promise_of(j);
   --d.active_jobs;
   --d.pattern_active[static_cast<std::size_t>(j.pattern)];

@@ -11,15 +11,14 @@
 // base, and on completion detach — returning their namespace region, tenant
 // slot and frames for reuse — before the admission queue is re-drained.
 //
-// Under the default --engine seq the engine holds ONE shard and every
-// component shares its queue — byte-identical to the historical build.
-// Under --engine sharded, shard 0 is the CONTROL plane (arrivals, admission,
-// placement, job bookkeeping, per-device shadow tables) and shard 1+d is
-// device d (table, driver, recorder, running Gpus); admission and completion
-// cross shards as messages delayed by the fault-service round trip (the
-// lookahead), and the control shard's shadow table attaches earlier /
-// detaches later than the device table, so the region it prescribes is
-// always free on arrival (the subset invariant, docs/performance.md).
+// Shard 0 is the CONTROL plane (arrivals, admission, placement, job
+// bookkeeping, per-device shadow tables) and shard 1+d is device d (table,
+// driver, recorder, running Gpus); admission and completion cross shards as
+// messages delayed by the fault-service round trip (the lookahead), and the
+// control shard's shadow table attaches earlier / detaches later than the
+// device table, so the region it prescribes is always free on arrival (the
+// subset invariant, docs/performance.md). The engine's thread count never
+// changes the answer.
 //
 // SLA accounting: per-job slowdown against a solo-calibrated baseline (one
 // UvmSystem run per job template, cached in the constructor), nearest-rank
@@ -30,8 +29,8 @@
 // fleet-level recorder with no device stamp; per-device fault traffic goes
 // to that device's recorder (device-stamped when devices > 1). Runs are
 // deterministic for a fixed seed: arrivals, template draws and job seeds
-// all derive from PolicyConfig::seed — under the sharded engine, also
-// independent of the worker-thread count.
+// all derive from PolicyConfig::seed, independent of the worker-thread
+// count.
 #pragma once
 
 #include <array>
@@ -74,16 +73,15 @@ class FleetSystem {
 
   /// Attach a sink to the fleet-level recorder and every device recorder —
   /// one JSONL stream carries job lifecycle and fault traffic interleaved.
-  /// Sharded runs stage per-shard buffers and deliver the merged,
-  /// deterministic stream after run().
+  /// Shards stage per-shard buffers and deliver the merged, deterministic
+  /// stream after run().
   void add_sink(TraceSink* sink);
   /// Apply an event filter to the fleet-level and every device recorder.
   void set_event_mask(u64 mask);
 
-  /// The control shard's queue — THE queue under --engine seq.
+  /// The control shard's queue.
   [[nodiscard]] EventQueue& queue() noexcept { return engine_->queue(0); }
   [[nodiscard]] ShardedEngine& engine() noexcept { return *engine_; }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
   [[nodiscard]] FlightRecorder& job_recorder() noexcept {
     return *job_recorder_;
   }
@@ -96,9 +94,9 @@ class FleetSystem {
 
  private:
   /// One device's memory system: arena table, device stack, and the load
-  /// counters admission and placement consult. Under --engine sharded,
-  /// `table`/`stack`/`gpu_total` belong to the device shard;
-  /// the accounting counters are written only by the control shard.
+  /// counters admission and placement consult. `table`/`stack`/`gpu_total`
+  /// belong to the device shard; the accounting counters are written only
+  /// by the control shard.
   struct Device {
     TenantTable table;
     DeviceStack stack;
@@ -110,11 +108,11 @@ class FleetSystem {
   };
 
   /// A running job's simulation objects, destroyed at teardown. Owned by
-  /// the job's device shard when the engine is sharded.
+  /// the job's device shard.
   struct Running {
     std::unique_ptr<OffsetWorkload> workload;
     std::unique_ptr<Gpu> gpu;
-    TenantId tenant = kNoTenant;  ///< DEVICE-table slot (sharded only)
+    TenantId tenant = kNoTenant;  ///< DEVICE-table slot
     u32 device = ~u32{0};
   };
 
@@ -124,27 +122,19 @@ class FleetSystem {
   bool try_admit(u64 id);
   void admit(u64 id, u32 device);
   void reject(u64 id, JobRejectReason reason);
-  /// Device-shard half of a sharded admission: replay the control shard's
-  /// attach at the prescribed base and launch the Gpu.
+  /// Device-shard half of an admission: replay the control shard's attach
+  /// at the prescribed base and launch the Gpu.
   void launch_job(u64 id, u32 device, PageId base);
-  /// Teardown, scheduled onto the queue by the Gpu's on_finished hook (the
-  /// hook fires inside the last warp's event; destroying the Gpu there
-  /// would free the running callback's owner). Sequential engine only —
-  /// sharded runs split this into device_complete + control_complete.
-  void complete(u64 id);
-  /// Device-shard half of a sharded completion: teardown, then message the
-  /// control shard with the finish cycle.
+  /// Device-shard half of a completion, scheduled onto the device queue by
+  /// the Gpu's on_finished hook (the hook fires inside the last warp's
+  /// event; destroying the Gpu there would free the running callback's
+  /// owner): teardown, then message the control shard the finish cycle.
   void device_complete(u64 id);
   /// Control-shard half: bookkeeping, shadow detach, queue re-drain.
   void control_complete(u64 id, Cycle finish);
   void drain_queue();
-  /// The table admission consults: the device table itself (sequential) or
-  /// the control shard's shadow of it (sharded).
-  [[nodiscard]] TenantTable& view(u32 device) noexcept {
-    return sharded_ ? *shadow_tables_[device] : devices_[device]->table;
-  }
   [[nodiscard]] EventQueue& dev_queue(u32 device) noexcept {
-    return engine_->queue(sharded_ ? 1 + device : 0);
+    return engine_->queue(1 + device);
   }
   [[nodiscard]] DeviceLoad load_of(u32 device, const Job& j) const;
   [[nodiscard]] u64 job_seed(u64 id) const;
@@ -156,7 +146,6 @@ class FleetSystem {
   FleetConfig fleet_;
   u64 capacity_frames_ = 0;  ///< per device
   u64 job_slots_ = 0;        ///< concurrent SM-slice slots per device
-  bool sharded_ = false;
   Cycle lookahead_ = 1;      ///< cross-shard message delay (fault RTT)
 
   std::unique_ptr<ShardedEngine> engine_;
@@ -167,10 +156,11 @@ class FleetSystem {
   AdmissionController admission_;
   FleetScheduler scheduler_;
   std::vector<std::unique_ptr<Device>> devices_;
-  /// Sharded only: the control shard's per-device shadow arena tables.
+  /// The control shard's per-device shadow arena tables: the tables
+  /// admission consults.
   std::vector<std::unique_ptr<TenantTable>> shadow_tables_;
   /// Job recorder and every device recorder; staged per shard (0 = job
-  /// recorder, 1+d = device d) under --engine sharded.
+  /// recorder, 1+d = device d).
   ShardTraceStage trace_;
 
   std::vector<Job> jobs_;

@@ -100,8 +100,8 @@ class Gpu {
   /// Invalidate every translation and cached line this GPU holds for a page
   /// it accessed *remotely* (multi-GPU fabric): the page was never in this
   /// GPU's page table, so remote lines are tagged with the page-as-frame
-  /// fallback (see finish_access). Called by the FabricCoordinator when the
-  /// page's owner unmaps it (eviction, spill, or surrender to a peer).
+  /// fallback (see finish_access). Called by the fabric's shootdown message
+  /// when the page's home device evicts it.
   void remote_shootdown(PageId p);
 
   /// Audit queries (tests). True when an L1/L2 TLB still translates `p` or

@@ -127,17 +127,11 @@ void validate(const ExperimentSpec& spec) {
     throw Reject("interval metrics are recorded on a single GPU only "
                  "(not with fleet, tenants or gpus >= 2)");
 
-  // Sharding needs per-device state: one shared driver (tenants) cannot
-  // shard, and spill moves chunks between devices mid-run, which the
-  // forward-only sharded fabric protocol forbids.
-  if (spec.engine.kind == EngineKind::kSharded) {
-    if (mode == ExperimentMode::kTenants)
-      throw Reject("the sharded engine does not support tenants "
-                   "(one shared driver cannot shard)");
-    if (spec.fabric.spill && mode != ExperimentMode::kFleet)
-      throw Reject("the sharded engine does not support spill "
-                   "(chunks may not change device)");
-  }
+  // Engine threads run shards, and sharding needs per-device state: one
+  // shared driver (tenants) cannot shard.
+  if (mode == ExperimentMode::kTenants && spec.engine.threads != 1)
+    throw Reject("engine threads do not apply to tenants "
+                 "(one shared driver cannot shard)");
 
   // A recorded arrival trace must parse (load_trace throws on a hostile
   // line), hold a gap, and fit every gap inside the run's cycle cap. Job k

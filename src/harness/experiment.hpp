@@ -46,9 +46,10 @@ struct ExperimentSpec {
   FabricConfig fabric;
 
   // --- Simulation engine (src/sim/sharded_engine.hpp) ----------------------
-  /// --engine sharded parallelises multi-GPU fabric and fleet runs (one
-  /// shard per device, conservative barrier windows); single-GPU runs fall
-  /// back to the sequential single shard, multi-tenant runs reject it.
+  /// --engine-threads parallelises multi-GPU fabric and fleet runs (one
+  /// shard per device, conservative barrier windows) without changing their
+  /// answer; single-GPU runs have one shard and run it inline, and
+  /// multi-tenant runs reject a thread count other than 1.
   EngineConfig engine;
 
   // --- Fleet serving (src/fleet) -------------------------------------------
@@ -79,8 +80,8 @@ enum class ExperimentMode { kSingle, kTenants, kFabric, kFleet };
 
 /// Reject a spec whose settings the selected system would silently ignore
 /// or cannot honour: more than one mode, a single tenant, a replayed trace
-/// or interval metrics outside single-GPU mode, the sharded engine with
-/// tenants or spill, and an arrival trace that is unreadable, empty, has a
+/// or interval metrics outside single-GPU mode, engine threads other than 1
+/// with tenants, and an arrival trace that is unreadable, empty, has a
 /// gap over `max_cycles` or would carry a fleet's arrivals past the last
 /// representable cycle. Throws std::invalid_argument naming the
 /// conflict (std::runtime_error for an arrival-trace line that does not

@@ -300,8 +300,8 @@ void write_json(std::ostream& os, const std::vector<LabelledResult>& results) {
          << "\"sim_page_table_capacity\":" << x.sim.page_table_capacity << ','
          << "\"sim_page_table_load\":" << x.sim.page_table_load;
     }
-    // Sharded-engine counters (docs/performance.md): keys only appear under
-    // --engine sharded, so sequential-run JSON stays byte-identical.
+    // Sharded-engine counters (docs/performance.md): keys only appear for
+    // multi-shard runs, so single-queue JSON stays byte-identical.
     if (x.engine_stats.sharded) {
       os << ",\"engine\":{"
          << "\"kind\":\"sharded\","

@@ -7,14 +7,13 @@
 namespace uvmsim {
 
 unsigned engine_threads_of(const ExperimentSpec& spec) noexcept {
-  if (spec.engine.kind != EngineKind::kSharded) return 1;
   u32 shards = 1;
   switch (mode_of(spec)) {
     case ExperimentMode::kFleet: shards = spec.fleet.devices + 1; break;  // + control
     case ExperimentMode::kFabric: shards = spec.fabric.gpus; break;
     default: break;
   }
-  if (shards <= 1) return 1;  // engine falls back to sequential
+  if (shards <= 1) return 1;  // one queue, run inline
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned req = spec.engine.threads == 0 ? hw : spec.engine.threads;
   return std::max(1u, std::min<unsigned>(req, shards));

@@ -3,9 +3,9 @@
 // threads with an atomic work index; results land in spec order regardless
 // of scheduling, keeping sweep output bit-reproducible.
 //
-// Sweeps of --engine sharded experiments fork threads at two levels (sweep
-// workers x engine workers); run_sweep caps its own pool so the product
-// stays near the hardware concurrency instead of threads-squared.
+// Sweeps of multi-threaded engine experiments fork threads at two levels
+// (sweep workers x engine workers); run_sweep caps its own pool so the
+// product stays near the hardware concurrency instead of threads-squared.
 #pragma once
 
 #include <algorithm>
@@ -29,9 +29,9 @@ namespace uvmsim {
   return std::max(1u, workers);
 }
 
-/// The engine worker-thread demand of one spec: 1 for sequential runs (and
-/// for runs the sharded engine falls back on), the shard-capped resolved
-/// thread count for sharded fabric/fleet runs.
+/// The engine worker-thread demand of one spec: the resolved --engine-threads
+/// count (0 = hardware), capped at the run's shard count — so 1 for every
+/// single-queue run (single GPU, tenants).
 [[nodiscard]] unsigned engine_threads_of(const ExperimentSpec& spec) noexcept;
 
 /// Run every experiment; `threads == 0` uses the hardware concurrency

@@ -50,12 +50,6 @@ void IntervalMetricsSink::emit(const TraceEvent& e) {
       // Batch bookkeeping (fault_batch > 1 only); per-interval counters
       // already capture the underlying faults and migrations.
       break;
-    case EventType::kPageSpilled:
-    case EventType::kRemoteAccess:
-    case EventType::kPeerMigration:
-      // Fabric traffic (--gpus > 1 only); per-device counters live in
-      // RunResult::devices, not the per-interval CSV.
-      break;
     case EventType::kPatternHitEmpty:
       // Vacuous pattern hit (zero pages planned): not a productive match,
       // and not a CSV column — the schema stays byte-identical.

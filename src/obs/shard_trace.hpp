@@ -1,6 +1,6 @@
 // Per-shard trace buffering for the sharded engine (docs/performance.md).
 //
-// Under --engine sharded, recorders on different shards emit concurrently,
+// In a multi-shard run, recorders on different shards emit concurrently,
 // so they cannot share the caller's sinks directly. Instead each shard's
 // recorder(s) write into a private BufferSink (append-only, touched only by
 // the worker executing that shard), and after the run the coordinator merges

@@ -33,11 +33,6 @@ enum class EventType : u8 {
   // window=1 traces stay byte-identical across schema revisions).
   kFaultBatchFormed,       ///< a: lead page, b: faults in batch, c: backlog left
   kBatchServiced,          ///< a: lead page, b: faults in batch, c: cycles/fault
-  // Multi-GPU fabric (emitted only when --gpus > 1, so single-GPU traces
-  // stay byte-identical across schema revisions).
-  kPageSpilled,            ///< a: chunk, b: destination device, c: pages spilled
-  kRemoteAccess,           ///< a: page, b: owning device, c: round-trip cycles
-  kPeerMigration,          ///< a: page, b: source device, c: 1 = spill hop-back
   // Pattern-buffer lookup whose match planned zero pages (every patterned
   // page already resident). Distinct from kPatternHit so §VI-C match-rate
   // stats count only lookups that actually narrowed a migration; reachable
@@ -65,7 +60,7 @@ enum class EventType : u8 {
   kGpuFaultServiced,       ///< a: lead page, b: faults in pickup, c: handler busy cycles
 };
 
-inline constexpr u32 kNumEventTypes = 27;
+inline constexpr u32 kNumEventTypes = 24;
 
 /// Reasons carried in kPatternDeleted's `b` field.
 enum class PatternDeleteReason : u8 {
@@ -77,8 +72,9 @@ enum class PatternDeleteReason : u8 {
 /// Reasons carried in kSplinter's `c` field.
 enum class SplinterReason : u8 {
   kEvictionPressure = 1,    ///< part of the frame was chosen for eviction
-  kSurrender = 2,           ///< a member page was surrendered to a peer
-  kSpill = 3,               ///< a member chunk is spilling to a peer
+  // 2 and 3 were peer surrender and spill, both removed with the model
+  // that used them; the numbers stay retired so old traces read the same.
+  kTeardown = 4,            ///< the owning fleet job departed (detach_tenant)
 };
 
 /// Reasons carried in kJobRejected's `b` field (fleet admission).
@@ -123,13 +119,10 @@ enum class TenantKeyKind : u8 { kNone, kPage, kChunk };
     case EventType::kShootdownIssued:
     case EventType::kFaultBatchFormed:
     case EventType::kBatchServiced:
-    case EventType::kRemoteAccess:
-    case EventType::kPeerMigration:
     case EventType::kFaultEnqueued:
     case EventType::kFaultQueueFull:
     case EventType::kGpuFaultServiced:
       return TenantKeyKind::kPage;
-    case EventType::kPageSpilled:
     case EventType::kEvictionChosen:
     case EventType::kCoalesce:
     case EventType::kSplinter:
@@ -170,9 +163,6 @@ enum class TenantKeyKind : u8 { kNone, kPage, kChunk };
     case EventType::kShootdownIssued: return "shootdown_issued";
     case EventType::kFaultBatchFormed: return "fault_batch_formed";
     case EventType::kBatchServiced: return "batch_serviced";
-    case EventType::kPageSpilled: return "page_spilled";
-    case EventType::kRemoteAccess: return "remote_access";
-    case EventType::kPeerMigration: return "peer_migration";
     case EventType::kPatternHitEmpty: return "pattern_hit_empty";
     case EventType::kCoalesce: return "coalesce";
     case EventType::kSplinter: return "splinter";
@@ -209,9 +199,6 @@ struct EventFieldNames {
     case EventType::kShootdownIssued: return {"page", "frame", {}};
     case EventType::kFaultBatchFormed: return {"page", "faults", "backlog"};
     case EventType::kBatchServiced: return {"page", "faults", "amortised"};
-    case EventType::kPageSpilled: return {"chunk", "dst", "pages"};
-    case EventType::kRemoteAccess: return {"page", "owner", "cycles"};
-    case EventType::kPeerMigration: return {"page", "src", "hopback"};
     case EventType::kPatternHitEmpty: return {"chunk", "popcount", {}};
     case EventType::kCoalesce: return {"chunk", "frame", "region"};
     case EventType::kSplinter: return {"chunk", "region", "reason"};

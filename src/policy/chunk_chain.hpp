@@ -49,10 +49,6 @@ struct ChunkEntry {
   u64 arrival_interval = 0;     ///< interval when the chunk was migrated in
   u64 last_touch_interval = 0;  ///< interval of the most recent demand touch
   u32 pin_count = 0;            ///< in-flight migrations targeting this chunk
-  /// Chunk arrived by eviction spill from a peer device (src/fabric). A
-  /// spilled chunk never re-spills (it writes back to host when evicted
-  /// again) and its synthetic touch state stays out of the pattern buffer.
-  bool spilled = false;
   /// Chunk is one of the kLargeChunks members of a coalesced 2 MB frame
   /// (large-pages mode; docs/memory.md). Set on coalesce, cleared on
   /// splinter; never set in default runs.

@@ -122,7 +122,7 @@ void ShardedEngine::worker_loop() {
 void ShardedEngine::run(Cycle max_cycle) {
   if (shards_.size() == 1) {
     // Uncoupled system: no windows, no barriers — the sequential kernel
-    // verbatim, so single-shard runs are byte-identical to --engine seq.
+    // verbatim, so single-shard runs are byte-identical to a bare queue.
     shards_[0]->queue.run(max_cycle);
     return;
   }

@@ -19,7 +19,7 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
       scheduler_(eq, sys, pol, footprint_pages, frames_, pt_, chains_,
                  stats_) {
   scheduler_.set_completion_hook(
-      [this](TenantId t, bool peer) { post_migration(t, peer); });
+      [this](TenantId t) { post_migration(t); });
   scheduler_.set_backend(backend_.get());
   chains_.reserve_chunks(capacity_pages / kChunkPages + 1);
   if (pol.large_pages) {
@@ -84,7 +84,7 @@ u64 UvmDriver::detach_tenant(TenantId t) {
     if (e == nullptr) continue;
     assert(e->pin_count == 0 && "detach only after the tenant's warps finish");
     if (lfm_ != nullptr && lfm_->coalesced(large_of_chunk(c)))
-      lfm_->splinter(large_of_chunk(c), SplinterReason::kSurrender);
+      lfm_->splinter(large_of_chunk(c), SplinterReason::kTeardown);
     const PageId chunk_base = first_page_of_chunk(c);
     for (u32 i = 0; i < kChunkPages; ++i) {
       if (!e->resident.test(i)) continue;
@@ -104,11 +104,11 @@ u64 UvmDriver::detach_tenant(TenantId t) {
   return reclaimed;
 }
 
-void UvmDriver::attach_fabric(FabricPort* fabric, u32 device, bool spill) {
+void UvmDriver::attach_fabric(FabricPort* fabric, u32 device) {
   assert(fabric != nullptr);
   fabric_ = fabric;
   device_ = device;
-  evictor_.set_fabric(fabric, device, spill);
+  evictor_.set_fabric(fabric, device);
   scheduler_.set_fabric(fabric, device);
 }
 
@@ -159,37 +159,13 @@ void UvmDriver::fault(PageId p, u32 sm, WakeCallback wake) {
   }
   if (fabric_ != nullptr) {
     const FabricDecision d = fabric_->route_fault(device_, p);
-    switch (d.route) {
-      case FabricRoute::kHostFetch:
-        break;  // fall through to the normal host-migration path
-      case FabricRoute::kRemoteAccess: {
-        // Map the access over NVLink: one cache line crosses the fabric and
-        // the warp resumes; the page stays on its owner.
-        ++stats_.remote_accesses;
-        const Cycle done = fabric_->charge_remote(device_, d.device, p);
-        record_event(rec_, EventType::kRemoteAccess, p, d.device,
-                     done - eq_.now());
-        eq_.schedule_at(done, std::move(wake));
-        return;
-      }
-      case FabricRoute::kPeerFetch:
-        peer_fetch(p, d.device, d.hopback, std::move(wake));
-        return;
-      case FabricRoute::kForward:
-        // Placement homes the page elsewhere: the home device services the
-        // fault with its own chain/policy; the reply crosses back as one
-        // remote access.
-        ++stats_.faults_forwarded;
-        fabric_->forward_fault(device_, d.device, p, std::move(wake));
-        return;
-      case FabricRoute::kRetry:
-        // Another device is fetching the page right now; re-route once its
-        // migration has had time to land.
-        eq_.schedule_in(sys_.fault_latency_cycles() / 4 + 1,
-                        [this, p, sm, w = std::move(wake)]() mutable {
-                          fault(p, sm, std::move(w));
-                        });
-        return;
+    if (d.route == FabricRoute::kForward) {
+      // Placement homes the page elsewhere: the home device services the
+      // fault with its own chain/policy; the reply crosses back as one
+      // remote access.
+      ++stats_.faults_forwarded;
+      fabric_->forward_fault(device_, d.device, p, std::move(wake));
+      return;
     }
   }
   ++stats_.page_faults;
@@ -328,104 +304,7 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
   scheduler_.dispatch(std::move(m), room.evicted);
 }
 
-void UvmDriver::peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake) {
-  ++stats_.page_faults;
-  ++stats_.peer_fetches;
-  if (hopback) ++stats_.spill_hopbacks;
-  record_event(rec_, EventType::kFaultRaised, p, chunk_of_page(p));
-  record_event(rec_, EventType::kPeerMigration, p, src, hopback ? 1 : 0);
-  // Wrong-eviction detection sees hop-backs exactly as the paper intends: a
-  // re-fault on a chunk this device evicted (spilled) is a wrong eviction.
-  chains_.policy_for(tenant_of(p))->on_fault(p);
-  PendingFault pf;
-  pf.waiters.push_back(std::move(wake));
-  pf.raised_at = eq_.now();
-  pf.faulted = true;
-  scheduler_.mark_in_flight(p, std::move(pf));
-  service_peer(p, src);
-}
-
-void UvmDriver::service_peer(PageId p, u32 src) {
-  const TenantId t = tenant_of(p);
-  ChunkChain& chain = chains_.chain_for(t);
-  MigrationBatch m;
-  m.formed_at = eq_.now();
-  m.tenant = t;
-  m.src_device = src;
-  m.lead = p;
-  m.pages.push_back(p);
-  if (ChunkEntry* e = chain.find(chunk_of_page(p))) {
-    ++e->pin_count;
-    m.pinned.push_back(e->id);
-  }
-  const auto room = evictor_.make_room(1, t);
-  if (room.starved && frames_.admissible_frames(t) == 0) {
-    // Every candidate chunk is pinned by concurrent migrations; retry once
-    // one of them has completed (the page stays marked in flight, so peer
-    // and local faults keep coalescing onto it).
-    for (const ChunkId c : m.pinned) --chain.entry(c).pin_count;
-    eq_.schedule_in(sys_.fault_latency_cycles() / 4 + 1,
-                    [this, p, src] { service_peer(p, src); });
-    return;
-  }
-  frames_.reserve(1, t);
-  ++stats_.migration_ops;
-  stats_.demand_evictions += room.evicted;
-  scheduler_.dispatch(std::move(m), room.evicted);
-}
-
-void UvmDriver::surrender_page(PageId p) {
-  // A coalesced region cannot lose a single page: splinter first (the 2 MB
-  // translation disappears; per-page frames stay put until unmapped below).
-  if (lfm_ != nullptr && lfm_->coalesced(large_of_page(p)))
-    lfm_->splinter(large_of_page(p), SplinterReason::kSurrender);
-  const ChunkId c = chunk_of_page(p);
-  ChunkChain& chain = chains_.chain_of_chunk(c);
-  ChunkEntry& e = chain.entry(c);
-  assert(e.pin_count > 0);  // pinned by route_fault when the fetch was routed
-  --e.pin_count;
-  const u32 idx = page_index_in_chunk(p);
-  if (e.resident.test(idx)) {
-    e.resident.clear(idx);
-    e.touched.clear(idx);
-    const FrameId frame = pt_.unmap(p);
-    frames_.release(frame, tenant_of(p));
-    ++stats_.pages_surrendered;
-    evictor_.shootdown(p, frame);
-  }
-  // A migration-away is not an eviction: no policy notification, no pattern
-  // recording, no D2H write-back. Drop the entry once nothing is left.
-  if (e.resident.count() == 0 && e.pin_count == 0) chain.erase(c);
-}
-
-void UvmDriver::adopt_spilled_chunk(ChunkId c, const TouchBits& resident) {
-  const PageId base = first_page_of_chunk(c);
-  const TenantId t = tenant_of(base);
-  const u64 domain = chains_.domain_of_chunk(c);
-  ChunkChain& chain = chains_.chain(domain);
-  ChunkEntry* e = chain.find(c);
-  if (e == nullptr) {
-    e = &chain.insert(c, /*at_head=*/false);
-    chains_.policy(domain)->on_chunk_inserted(*e);
-  }
-  e->spilled = true;
-  for (u32 i = 0; i < kChunkPages; ++i) {
-    if (!resident.test(i) || e->resident.test(i)) continue;
-    frames_.reserve(1, t);
-    pt_.map(base + i, frames_.allocate_for(base + i));
-    e->resident.set(i);
-  }
-  // Touched bits start empty: the spilled copy is a second chance, and only
-  // genuine demand touches here should count toward MHPE's untouch levels.
-}
-
-void UvmDriver::pin_for_transfer(ChunkId c) {
-  ChunkEntry* e = chains_.chain_of_chunk(c).find(c);
-  assert(e != nullptr);
-  ++e->pin_count;
-}
-
-void UvmDriver::post_migration(TenantId tenant, bool peer) {
+void UvmDriver::post_migration(TenantId tenant) {
   // Pre-evict ahead of the next fault: keep the configured watermark of
   // frames free so eviction work stays off fault critical paths. Only
   // meaningful when memory is actually oversubscribed — with the footprint
@@ -440,9 +319,7 @@ void UvmDriver::post_migration(TenantId tenant, bool peer) {
     stats_.pre_evictions += evictor_.make_room(watermark, tenant).evicted;
   }
 
-  // Admit backlogged faults into the freed driver slot. Peer fetches never
-  // held a slot (they bypass the batcher), so there is nothing to release.
-  if (peer) return;
+  // Admit backlogged faults into the freed driver slot.
   scheduler_.release_slot();
   dispatch_pending();
 }

@@ -137,31 +137,13 @@ class UvmDriver final : public ResidencyView {
   u64 detach_tenant(TenantId t);
 
   // --- Multi-GPU fabric (src/fabric, docs/fabric.md) -------------------------
-  /// Attach this driver to the fabric as device `device`. Faults are routed
-  /// through the port (remote access / peer fetch / forward), evictions may
-  /// spill to a peer when `spill` is set, and migrations update the fabric
-  /// directory. Never called in single-GPU runs — the driver is then
-  /// bit-for-bit the pre-fabric driver.
-  void attach_fabric(FabricPort* fabric, u32 device, bool spill);
-  [[nodiscard]] u32 device_id() const noexcept { return device_; }
+  /// Attach this driver to the fabric as device `device`. Faults on pages
+  /// homed elsewhere are forwarded through the port, and evictions notify
+  /// it. Never called in single-GPU runs — the driver is then bit-for-bit
+  /// the pre-fabric driver.
+  void attach_fabric(FabricPort* fabric, u32 device);
   /// Has attach_fabric been called?
   [[nodiscard]] bool fabric_attached() const noexcept { return fabric_ != nullptr; }
-  /// Is a migration covering `p` in flight on this device?
-  [[nodiscard]] bool migration_in_flight(PageId p) const {
-    return scheduler_.in_flight(p);
-  }
-  /// Bring `p` in from peer `src` (fabric-routed fault). `hopback` marks a
-  /// spill second chance. Peer fetches are single-page and bypass both the
-  /// fault batcher and the driver-concurrency slots.
-  void peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake);
-  /// A peer finished fetching `p` from us: unmap and free our (pinned) copy.
-  void surrender_page(PageId p);
-  /// Adopt a chunk spilled from a peer: reserve frames, map the pages and
-  /// insert (or extend) the chain entry, marked `spilled`. The fabric has
-  /// already charged the link transfer.
-  void adopt_spilled_chunk(ChunkId c, const TouchBits& resident);
-  /// Pin a chunk against eviction while a peer transfer reads from it.
-  void pin_for_transfer(ChunkId c);
 
   // --- GPU-side interface ----------------------------------------------------
   /// Is the page mapped right now (TLB-fillable)?
@@ -174,7 +156,7 @@ class UvmDriver final : public ResidencyView {
   /// `p` is mapped. The SM id selects the GPU-driven backend's per-SM fault
   /// queue; the host backend ignores it.
   void fault(PageId p, u32 sm, WakeCallback wake);
-  /// Source-less fault (fabric forwards, retries, direct driver calls):
+  /// Source-less fault (fabric forwards, direct driver calls):
   /// lands in SM queue 0 under the GPU-driven backend.
   void fault(PageId p, WakeCallback wake) { fault(p, 0, std::move(wake)); }
 
@@ -190,9 +172,8 @@ class UvmDriver final : public ResidencyView {
   }
 
   // --- ResidencyView (prefetcher oracle: resident OR already in flight) ------
-  /// On a fabric, pages a peer holds (or is fetching, or that placement
-  /// homes elsewhere) also read as "resident": prefetch plans must never
-  /// pull them from the host.
+  /// On a fabric, pages that placement homes elsewhere also read as
+  /// "resident": prefetch plans must never pull them from the host.
   [[nodiscard]] bool is_resident(PageId p) const override {
     return pt_.resident(p) || scheduler_.in_flight(p) ||
            (fabric_ != nullptr && !fabric_->host_fetchable(device_, p));
@@ -228,13 +209,10 @@ class UvmDriver final : public ResidencyView {
   /// plans, pin, make room (retrying later if every chunk is pinned), then
   /// hand the migration to the scheduler.
   void service_batch(std::vector<PageId> leads);
-  /// Service a single-page peer fetch (no batcher, no slot): make room for
-  /// one frame, then dispatch a src-device migration.
-  void service_peer(PageId p, u32 src);
   /// Post-completion: pre-evict back to the watermark (scoped to the
   /// completed batch's tenant), free the driver slot and admit the next
-  /// batch. Peer batches never held a slot, so they skip the slot release.
-  void post_migration(TenantId tenant, bool peer);
+  /// batch.
+  void post_migration(TenantId tenant);
   /// Hand a free driver slot to the next formed batch, if any.
   void dispatch_pending();
 

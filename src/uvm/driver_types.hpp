@@ -20,8 +20,8 @@ namespace uvmsim {
 /// `[this, sm, warp, page]` capture stays inline (move-only, no heap).
 using WakeCallback = InlineFunction<void(), kCallbackInlineBytes>;
 
-/// Device id meaning "the host" as a migration source/destination (also the
-/// single-GPU default everywhere a device id appears in the driver stack).
+/// Device id meaning "no device": the host, and the single-GPU default
+/// everywhere a device id appears in the driver stack.
 inline constexpr u32 kHostDevice = ~u32{0};
 
 /// TLB/cache shootdown hook, invoked for every page unmapped by an eviction
@@ -56,15 +56,15 @@ struct MigrationBatch {
   /// batch at the first fault from a different tenant); kNoTenant when
   /// tenancy is off.
   TenantId tenant = kNoTenant;
-  /// Where the pages come from: kHostDevice for ordinary host migrations,
-  /// a peer device id for NVLink peer migrations (src/fabric). Peer batches
-  /// bypass the FaultBatcher and the driver-concurrency slots.
-  u32 src_device = kHostDevice;
 };
 
-/// Driver-wide counters, updated by all four layers. Multi-GPU fabric
-/// counters stay zero when --gpus == 1; large-pages counters stay zero when
-/// --large-pages is off.
+/// Driver-wide counters, updated by all four layers. faults_forwarded stays
+/// zero when --gpus == 1; large-pages counters stay zero when --large-pages
+/// is off. remote_accesses, peer_fetches, spill_hopbacks, chunks_spilled,
+/// pages_spilled and pages_surrendered always stay zero: the multi-device
+/// model that counted them (remote mapping, peer migration, spill-to-peer)
+/// was removed, and the fields stay only to keep the text, CSV and JSON
+/// result schema unchanged.
 #define UVMSIM_DRIVER_STATS(X)                                                \
   X(page_faults)          /* distinct far-fault events (post-coalescing) */ \
   X(faults_coalesced)     /* faults that joined an in-flight migration */   \

@@ -117,7 +117,7 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
   // whole frame into the decision. If every sibling is as evictable as the
   // victim, the frame leaves as ONE eviction operation (one bulk DMA);
   // otherwise the frame splinters — hot siblings stay, and the cold victim
-  // falls through to the ordinary per-chunk path (which may then spill).
+  // falls through to the ordinary per-chunk path.
   if (lfm_ != nullptr) {
     const LargeId region = large_of_chunk(victim);
     if (lfm_->coalesced(region)) {
@@ -125,11 +125,7 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
         evict_large_frame(region, initiator);
         return;
       }
-      const bool spillable =
-          fabric_ != nullptr && spill_ &&
-          !chains_.chain_of_chunk(victim).entry(victim).spilled;
-      lfm_->splinter(region, spillable ? SplinterReason::kSpill
-                                       : SplinterReason::kEvictionPressure);
+      lfm_->splinter(region, SplinterReason::kEvictionPressure);
     }
   }
 
@@ -141,17 +137,7 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
   policy->on_chunk_evicted(e);
   // CPPE coordination point: the evicted chunk's demand-touch pattern flows
   // to the prefetcher (pattern buffer) — §IV-A's fine-grained interplay.
-  // Chunks that arrived by spill are skipped: their touch state restarted
-  // empty at adoption and would poison the pattern buffer.
-  if (!e.spilled) prefetcher_->on_chunk_evicted(victim, e.touched);
-
-  // Spill-to-peer (docs/fabric.md): if a peer has room, the victim's pages
-  // move over NVLink instead of writing back to host over PCIe. Spilled
-  // chunks never re-spill — their second eviction is a host write-back.
-  const u64 resident_pages = e.resident.count();
-  u32 spill_dst = kHostDevice;
-  if (fabric_ != nullptr && spill_ && !e.spilled && resident_pages > 0)
-    spill_dst = fabric_->spill_target(device_, resident_pages);
+  prefetcher_->on_chunk_evicted(victim, e.touched);
 
   const TenantId owner =
       tenants_ != nullptr ? tenants_->tenant_of_chunk(victim) : kNoTenant;
@@ -166,16 +152,9 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
     shootdown(page, frame);
     if (fabric_ != nullptr) fabric_->note_page_unmapped(device_, page);
   }
-  if (spill_dst != kHostDevice) {
-    fabric_->spill_chunk(device_, spill_dst, victim, e.resident);
-    record_event(rec_, EventType::kPageSpilled, victim, spill_dst, pages_out);
-    ++stats_.chunks_spilled;
-    stats_.pages_spilled += pages_out;
-  } else {
-    record_event(rec_, EventType::kEvictionChosen, victim, e.untouch_level(),
-                 pages_out);
-    d2h_.reserve(eq_.now(), pages_out);  // write-back occupancy (full duplex)
-  }
+  record_event(rec_, EventType::kEvictionChosen, victim, e.untouch_level(),
+               pages_out);
+  d2h_.reserve(eq_.now(), pages_out);  // write-back occupancy (full duplex)
   chain.erase(victim);
   ++stats_.chunks_evicted;
   stats_.pages_evicted += pages_out;
@@ -194,9 +173,6 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
 }
 
 bool EvictionEngine::whole_frame_evictable(LargeId l) const {
-  // Spill-to-peer stays a per-chunk decision: a spillable frame splinters
-  // so each chunk can take its own spill/write-back route.
-  if (fabric_ != nullptr && spill_) return false;
   const ChunkId c0 = first_chunk_of_large(l);
   const ChunkChain& chain = chains_.chain_of_chunk(c0);
   for (u32 k = 0; k < kLargeChunks; ++k) {
@@ -226,7 +202,7 @@ void EvictionEngine::evict_large_frame(LargeId l, TenantId initiator) {
     policy->on_chunk_evicted(e);
     // CPPE coordination is per chunk: each chunk's demand-touch pattern
     // feeds the pattern buffer exactly as a small eviction would.
-    if (!e.spilled) prefetcher_->on_chunk_evicted(c0 + k, e.touched);
+    prefetcher_->on_chunk_evicted(c0 + k, e.touched);
   }
 
   const FrameId base = pt_.unmap_large(l);

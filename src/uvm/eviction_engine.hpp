@@ -82,13 +82,11 @@ class EvictionEngine {
     mode_ = mode;
     scope_ = scope;
   }
-  /// Multi-GPU wiring: evictions update the fabric directory, and with
-  /// `spill` set victims move to a peer with free frames over NVLink
-  /// instead of writing back to host over PCIe.
-  void set_fabric(FabricPort* fabric, u32 device, bool spill) noexcept {
+  /// Multi-GPU wiring: evictions notify the fabric, which shoots the page
+  /// down on the devices that read it remotely.
+  void set_fabric(FabricPort* fabric, u32 device) noexcept {
     fabric_ = fabric;
     device_ = device;
-    spill_ = spill;
   }
   /// Large-pages wiring (docs/memory.md): victims inside a coalesced 2 MB
   /// frame either take the whole frame out as one bulk DMA (every sibling
@@ -101,7 +99,7 @@ class EvictionEngine {
   }
 
   /// Record and fan out one page's TLB/cache shootdown (also used by the
-  /// driver when a page is surrendered to a fetching peer).
+  /// driver when a departing tenant's pages are torn down).
   void shootdown(PageId p, FrameId f) {
     record_event(rec_, EventType::kShootdownIssued, p, f);
     for (const auto& [handle, h] : shootdowns_) h(p, f);
@@ -129,7 +127,7 @@ class EvictionEngine {
  private:
   void evict_chunk(ChunkId victim, TenantId initiator);
   /// Every chunk of coalesced region `l` cold (no touch in the current or
-  /// previous interval) and unpinned — and spill cannot claim it?
+  /// previous interval) and unpinned?
   [[nodiscard]] bool whole_frame_evictable(LargeId l) const;
   /// Evict all kLargeChunks chunks of coalesced region `l` as ONE eviction
   /// operation: one bulk D2H DMA, one large-entry shootdown, per-chunk
@@ -156,7 +154,6 @@ class EvictionEngine {
   EvictionScope scope_ = EvictionScope::kGlobal;
   FabricPort* fabric_ = nullptr;
   u32 device_ = kHostDevice;
-  bool spill_ = false;
   LargeFrameManager* lfm_ = nullptr;  ///< null when --large-pages is off
   u32 bulk_dma_percent_ = 100;
 };

@@ -18,7 +18,7 @@ bool LargeFrameManager::candidate(LargeId l, FrameId& base_out) const {
   for (u32 k = 0; k < kLargeChunks; ++k) {
     const ChunkEntry* e = chains_.find(c0 + k);
     if (e == nullptr || !e->resident.full() || !e->touched.full() ||
-        e->pinned() || e->spilled || e->in_large)
+        e->pinned() || e->in_large)
       return false;
   }
   // Physical contiguity on an aligned slot: the FramePool's slot binding

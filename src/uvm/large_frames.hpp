@@ -9,11 +9,10 @@
 //
 // The inverse, *splintering*, expands a large mapping back into per-page
 // PTEs when only part of the region must go — eviction pressure on a
-// subset of its chunks, a page surrendered to a fetching peer, or a chunk
-// spilling across the fabric. Splintering invalidates the large TLB
-// entries (the 2 MB translation disappears) through registered
-// LargeShootdownHandlers, but the frames stay put, so the per-page
-// translations the small TLBs may still hold remain valid.
+// subset of its chunks, or a departing fleet job's teardown. Splintering
+// invalidates the large TLB entries (the 2 MB translation disappears)
+// through registered LargeShootdownHandlers, but the frames stay put, so
+// the per-page translations the small TLBs may still hold remain valid.
 //
 // Never instantiated when --large-pages is off: default runs carry no
 // scan events, no trace records and no behavioural change.
@@ -91,8 +90,8 @@ class LargeFrameManager {
 
  private:
   /// Candidacy walk: every chunk resident+touched in full, unpinned, not
-  /// spill-adopted, not already coalesced, and the 512 frames contiguous
-  /// from an aligned base (returned through `base_out`).
+  /// already coalesced, and the 512 frames contiguous from an aligned base
+  /// (returned through `base_out`).
   [[nodiscard]] bool candidate(LargeId l, FrameId& base_out) const;
 
   EventQueue& eq_;

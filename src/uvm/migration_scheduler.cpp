@@ -45,12 +45,7 @@ void MigrationScheduler::dispatch(MigrationBatch&& m, u64 demand_evictions) {
                                       demand_evictions)
           : eq_.now() + fault_latency_cycles_ +
                 demand_evictions * evict_service_cycles_;
-  // Peer batches cross the fabric instead of the host H2D link.
-  const Cycle transfer_done =
-      m.src_device != kHostDevice && fabric_ != nullptr
-          ? fabric_->reserve_transfer(m.src_device, device_, m.pages.size(),
-                                      service_done)
-          : h2d_.reserve(service_done, m.pages.size());
+  const Cycle transfer_done = h2d_.reserve(service_done, m.pages.size());
   record_event(rec_, EventType::kMigrationPlanned, m.lead, m.pages.size(),
                transfer_done - service_done);
   eq_.schedule_at(transfer_done, [this, mig = std::move(m)]() mutable {
@@ -67,16 +62,11 @@ void MigrationScheduler::complete(MigrationBatch m) {
   TenantStats* ts =
       tenants_ != nullptr && m.tenant != kNoTenant ? &tenants_->stats(m.tenant)
                                                    : nullptr;
-  const bool peer = m.src_device != kHostDevice;
   for (const PageId page : m.pages) {
     // Bind a physical frame (accounting was done at service time); the
     // slot-binding allocator is a plain allocate() outside large mode.
     pt_.map(page, frames_.allocate_for(page));
-    if (fabric_ != nullptr) {
-      fabric_->note_page_mapped(device_, page);
-      // Peer fetch: the source now surrenders its (pinned) copy.
-      if (peer) fabric_->surrender_at(m.src_device, page);
-    }
+    if (fabric_ != nullptr) fabric_->note_page_mapped(device_, page);
 
     const ChunkId c = chunk_of_page(page);
     ChunkEntry* e = chain.find(c);
@@ -142,7 +132,7 @@ void MigrationScheduler::complete(MigrationBatch m) {
 
   // Driver facade: pre-evict ahead of the next fault, release the slot and
   // admit the next batch.
-  hook_(m.tenant, peer);
+  hook_(m.tenant);
 }
 
 }  // namespace uvmsim

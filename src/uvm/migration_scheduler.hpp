@@ -47,8 +47,7 @@ class MigrationScheduler {
 
   void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
   void set_tenant_table(TenantTable* table) noexcept { tenants_ = table; }
-  /// Multi-GPU wiring: peer batches reserve fabric (not H2D) occupancy, and
-  /// completions maintain the fabric directory.
+  /// Multi-GPU wiring: completions maintain the fabric directory.
   void set_fabric(FabricPort* fabric, u32 device) noexcept {
     fabric_ = fabric;
     device_ = device;
@@ -63,9 +62,8 @@ class MigrationScheduler {
     backend_ = backend;
   }
   /// Runs after each completed batch (driver facade: pre-evict, release the
-  /// slot, admit the next batch) with the batch's tenant; `peer` marks peer
-  /// fetches, which never held a driver slot.
-  void set_completion_hook(std::function<void(TenantId, bool)> hook) {
+  /// slot, admit the next batch) with the batch's tenant.
+  void set_completion_hook(std::function<void(TenantId)> hook) {
     hook_ = std::move(hook);
   }
 
@@ -120,7 +118,7 @@ class MigrationScheduler {
   u32 device_ = kHostDevice;
   LargeFrameManager* lfm_ = nullptr;  ///< null when --large-pages is off
   FaultServiceBackend* backend_ = nullptr;  ///< service-timing seam
-  std::function<void(TenantId, bool)> hook_;
+  std::function<void(TenantId)> hook_;
 };
 
 }  // namespace uvmsim

@@ -1,7 +1,6 @@
 // FabricSystem end-to-end: single-GPU equivalence with UvmSystem (the
-// byte-identity acceptance criterion), 2- and 4-GPU determinism, placement
-// homing, the remote-vs-migrate threshold, and eviction spill-to-peer
-// relieving the host PCIe write-back path.
+// byte-identity acceptance criterion), 2- and 4-GPU determinism, and
+// placement homing.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,12 +15,10 @@
 namespace uvmsim {
 namespace {
 
-FabricConfig fabric_of(u32 gpus, FabricKind kind = FabricKind::kRing,
-                       bool spill = false) {
+FabricConfig fabric_of(u32 gpus, FabricKind kind = FabricKind::kRing) {
   FabricConfig f;
   f.gpus = gpus;
   f.topology = kind;
-  f.spill = spill;
   return f;
 }
 
@@ -43,7 +40,7 @@ FabricRun fabric_run(const std::string& abbr, double oversub,
   return out;
 }
 
-// Acceptance criterion: a 1-GPU FabricSystem builds no coordinator and is
+// Acceptance criterion: a 1-GPU FabricSystem builds no fabric and is
 // cycle-for-cycle AND trace-byte-for-byte identical to UvmSystem.
 TEST(FabricSystem, OneGpuMatchesUvmSystemExactly) {
   const auto wl = make_benchmark("NW");
@@ -80,97 +77,66 @@ TEST(FabricSystem, TwoGpuRunsAreDeterministic) {
   EXPECT_EQ(a.jsonl, b.jsonl);
   EXPECT_EQ(a.result.cycles, b.result.cycles);
   EXPECT_EQ(a.result.driver.page_faults, b.result.driver.page_faults);
-  EXPECT_EQ(a.result.driver.remote_accesses, b.result.driver.remote_accesses);
-  EXPECT_EQ(a.result.driver.peer_fetches, b.result.driver.peer_fetches);
+  EXPECT_EQ(a.result.driver.faults_forwarded, b.result.driver.faults_forwarded);
+  EXPECT_EQ(a.result.h2d_pages, b.result.h2d_pages);
   EXPECT_TRUE(a.result.completed);
   EXPECT_NE(a.jsonl.find("\"dev\":"), std::string::npos);
   ASSERT_EQ(a.result.devices.size(), 2u);
+  // The fabric routes: faults cross to their home device, and the replies'
+  // link occupancy reaches the per-link result.
+  EXPECT_GT(a.result.driver.faults_forwarded, 0u);
+  ASSERT_FALSE(a.result.links.empty());
+  u64 moved = 0;
+  for (const LinkRunResult& l : a.result.links) moved += l.units_moved;
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(FabricSystem, FourGpuRunsAreDeterministic) {
-  const FabricRun a = fabric_run("NW", 0.5, fabric_of(4, FabricKind::kSwitch, true));
-  const FabricRun b = fabric_run("NW", 0.5, fabric_of(4, FabricKind::kSwitch, true));
+  const FabricRun a = fabric_run("NW", 0.5, fabric_of(4, FabricKind::kSwitch));
+  const FabricRun b = fabric_run("NW", 0.5, fabric_of(4, FabricKind::kSwitch));
   EXPECT_EQ(a.jsonl, b.jsonl);
   EXPECT_EQ(a.result.cycles, b.result.cycles);
-  EXPECT_EQ(a.result.driver.pages_spilled, b.result.driver.pages_spilled);
+  EXPECT_EQ(a.result.driver.faults_forwarded, b.result.driver.faults_forwarded);
   EXPECT_TRUE(a.result.completed);
   ASSERT_EQ(a.result.devices.size(), 4u);
 }
 
-// The fabric actually routes: sharded NW at 50% fits must exercise the peer
-// paths (remote mapping below the threshold, migration at it).
-TEST(FabricSystem, PeerPathsAreExercised) {
-  const FabricRun r = fabric_run("NW", 0.5, fabric_of(2));
-  EXPECT_TRUE(r.result.completed);
-  EXPECT_GT(r.result.driver.remote_accesses + r.result.driver.peer_fetches +
-                r.result.driver.faults_forwarded,
-            0u);
-  // Per-link accounting reaches the result.
-  ASSERT_FALSE(r.result.links.empty());
-  u64 moved = 0;
-  for (const LinkRunResult& l : r.result.links) moved += l.units_moved;
-  EXPECT_GT(moved, 0u);
-}
-
-// Spill-to-peer: on a thrashing preset the host write-back traffic must
-// drop when eviction may spill to a peer instead (acceptance criterion).
-// 75% fits still evicts thousands of pages but leaves the peers transient
-// headroom to absorb spills; at 50% both devices sit at their watermark and
-// spill_target finds no headroom worth using.
-TEST(FabricSystem, SpillToPeerCutsHostWriteback) {
-  const FabricRun off = fabric_run("NW", 0.75, fabric_of(2, FabricKind::kRing, false));
-  const FabricRun on = fabric_run("NW", 0.75, fabric_of(2, FabricKind::kRing, true));
-  ASSERT_TRUE(off.result.completed);
-  ASSERT_TRUE(on.result.completed);
-  EXPECT_EQ(off.result.driver.pages_spilled, 0u);
-  EXPECT_GT(on.result.driver.pages_spilled, 0u);
-  EXPECT_LT(on.result.d2h_pages, off.result.d2h_pages);
-  // The spill events carry their own trace type.
-  EXPECT_NE(on.jsonl.find("\"ev\":\"page_spilled\""), std::string::npos);
-  EXPECT_EQ(off.jsonl.find("\"ev\":\"page_spilled\""), std::string::npos);
-}
-
-// The pcie preset has no peer links: spill must fall back to host
-// write-back and remote mapping must never happen.
+// The pcie preset has no peer links: forwarded faults still complete (their
+// replies bounce through the host links), and no page is ever remote-mapped
+// or spilled — the fabric model has neither.
 TEST(FabricSystem, PcieFabricNeverRemoteMapsOrSpills) {
-  const FabricRun r = fabric_run("NW", 0.5, fabric_of(2, FabricKind::kPcie, true));
+  const FabricRun r = fabric_run("NW", 0.5, fabric_of(2, FabricKind::kPcie));
   EXPECT_TRUE(r.result.completed);
+  EXPECT_GT(r.result.driver.faults_forwarded, 0u);
   EXPECT_EQ(r.result.driver.remote_accesses, 0u);
   EXPECT_EQ(r.result.driver.pages_spilled, 0u);
 }
 
-// Placement homing: round-robin and affinity pre-assign chunk homes, and
-// first-touch leaves them open until a page lands.
+// Placement homing: round-robin and affinity fix every chunk's home at
+// construction.
 TEST(FabricSystem, PlacementPolicyAssignsHomes) {
   const auto wl = make_benchmark("NW");
 
   FabricConfig rr = fabric_of(2);
   rr.placement = PlacementKind::kRoundRobin;
   FabricSystem rr_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, rr);
-  ASSERT_NE(rr_sys.fabric(), nullptr);
-  EXPECT_EQ(rr_sys.fabric()->home_of(0), 0u);
-  EXPECT_EQ(rr_sys.fabric()->home_of(1), 1u);
-  EXPECT_EQ(rr_sys.fabric()->home_of(2), 0u);
+  ASSERT_NE(rr_sys.sharded_fabric(), nullptr);
+  EXPECT_EQ(rr_sys.sharded_fabric()->home_of(0), 0u);
+  EXPECT_EQ(rr_sys.sharded_fabric()->home_of(1), 1u);
+  EXPECT_EQ(rr_sys.sharded_fabric()->home_of(2), 0u);
 
   FabricConfig aff = fabric_of(2);
   aff.placement = PlacementKind::kAffinity;
   FabricSystem aff_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, aff);
   const u64 chunks = (wl->footprint_pages() + kChunkPages - 1) / kChunkPages;
-  EXPECT_EQ(aff_sys.fabric()->home_of(0), 0u);
-  EXPECT_EQ(aff_sys.fabric()->home_of(static_cast<ChunkId>(chunks - 1)), 1u);
+  EXPECT_EQ(aff_sys.sharded_fabric()->home_of(0), 0u);
+  EXPECT_EQ(aff_sys.sharded_fabric()->home_of(static_cast<ChunkId>(chunks - 1)),
+            1u);
 
-  FabricConfig ft = fabric_of(2);  // first-touch: open until mapped
-  FabricSystem ft_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, ft);
-  EXPECT_EQ(ft_sys.fabric()->home_of(0), kHostDevice);
-}
-
-// remote_threshold == 0 forces migrate-always: no remote mappings at all.
-TEST(FabricSystem, ZeroRemoteThresholdAlwaysMigrates) {
-  FabricConfig f = fabric_of(2);
-  f.remote_threshold = 0;
-  const FabricRun r = fabric_run("NW", 0.5, f);
-  EXPECT_TRUE(r.result.completed);
-  EXPECT_EQ(r.result.driver.remote_accesses, 0u);
+  // Affinity is the default placement.
+  FabricSystem def_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, fabric_of(2));
+  EXPECT_EQ(def_sys.sharded_fabric()->home_of(static_cast<ChunkId>(chunks - 1)),
+            1u);
 }
 
 }  // namespace

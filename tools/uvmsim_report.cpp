@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                  "shared,partitioned,quota");
   cli.add_option("fabric",
                  "comma-separated GPU counts (e.g. 2,4) — adds a multi-GPU "
-                 "fabric section (ring topology, spill on/off)");
+                 "fabric section (ring topology)");
   cli.add_option("large-pages",
                  "comma-separated workloads (e.g. SRD,HOT) — adds a 2 MB "
                  "large-frames off-vs-on section (docs/memory.md)");
@@ -174,8 +174,7 @@ int main(int argc, char** argv) {
   }
 
   // Optional multi-GPU fabric section: NW sharded over the requested GPU
-  // counts, spill off vs on. Off by default so the classic report stays
-  // byte-identical.
+  // counts. Off by default so the classic report stays byte-identical.
   if (cli.was_set("fabric") && !rates.empty()) {
     const double ov = rates.front();
     std::vector<ExperimentSpec> fspecs;
@@ -185,16 +184,13 @@ int main(int argc, char** argv) {
         std::cerr << "--fabric GPU counts must be >= 2\n";
         return 2;
       }
-      for (bool spill : {false, true}) {
-        ExperimentSpec s;
-        s.workload = "NW";
-        s.label = std::to_string(gpus) + (spill ? "+spill" : "");
-        s.policy = presets::cppe();
-        s.oversub = ov;
-        s.fabric.gpus = gpus;
-        s.fabric.spill = spill;
-        fspecs.push_back(std::move(s));
-      }
+      ExperimentSpec s;
+      s.workload = "NW";
+      s.label = std::to_string(gpus);
+      s.policy = presets::cppe();
+      s.oversub = ov;
+      s.fabric.gpus = gpus;
+      fspecs.push_back(std::move(s));
     }
     std::cerr << "running " << fspecs.size() << " fabric experiments...\n";
     const auto fresults =
@@ -202,18 +198,14 @@ int main(int argc, char** argv) {
 
     md << "## Multi-GPU fabric (NW, ring, " << fmt(ov * 100, 0)
        << "% fits)\n\n"
-       << "One workload sharded over N GPUs (docs/fabric.md); d2h counts "
-          "host write-backs, which eviction spill-to-peer retargets over "
-          "NVLink.\n\n"
-       << "| gpus | spill | cycles | h2d | d2h | remote | peer in | spilled "
-          "|\n|---|---|---|---|---|---|---|---|\n";
+       << "One workload sharded over N GPUs (docs/fabric.md); each chunk "
+          "lives on its home device, and faults from other devices are "
+          "forwarded there.\n\n"
+       << "| gpus | cycles | h2d | d2h | forwarded |\n|---|---|---|---|---|\n";
     for (const auto& r : fresults)
-      md << "| " << r.result.gpus << " | "
-         << (r.spec.fabric.spill ? "on" : "off") << " | " << r.result.cycles
-         << " | " << r.result.h2d_pages << " | " << r.result.d2h_pages
-         << " | " << r.result.driver.remote_accesses << " | "
-         << r.result.driver.peer_fetches << " | "
-         << r.result.driver.pages_spilled << " |\n";
+      md << "| " << r.result.gpus << " | " << r.result.cycles << " | "
+         << r.result.h2d_pages << " | " << r.result.d2h_pages << " | "
+         << r.result.driver.faults_forwarded << " |\n";
     md << "\n";
   }
 
